@@ -7,7 +7,7 @@
 #include <stdexcept>
 
 #include "cluster/stable_store.h"
-#include "common/hash_mix.h"
+#include "core/repartition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -15,19 +15,122 @@ namespace spcache {
 
 namespace {
 
-// Client NICs are provisioned like server NICs in the paper's clusters; the
-// write path is bottlenecked by the client's uplink shared across its
-// parallel streams, the read path by the slowest piece transfer.
-Seconds modelled_write_time(const Cluster& cluster, const std::vector<std::uint32_t>& servers,
-                            Bytes total_bytes, const GoodputModel& goodput) {
-  assert(!servers.empty());
-  const Bandwidth client_bw = cluster.server(servers.front()).bandwidth();
-  return static_cast<double>(total_bytes) / (client_bw * goodput.factor(servers.size()));
-}
-
 double elapsed_seconds(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
+
+// The in-process PieceStore: direct calls into the Cluster's block stores,
+// fanned out on the ThreadPool. Fetches hand out the resident BlockRefs
+// (zero-copy); modelled times follow the GoodputModel.
+class InprocPieceStore final : public PieceStore {
+ public:
+  InprocPieceStore(Cluster& cluster, ThreadPool& pool, GoodputModel goodput)
+      : cluster_(cluster), pool_(pool), goodput_(goodput) {}
+
+  void put(FileId id, std::span<const std::span<const std::uint8_t>> pieces,
+           const std::vector<std::uint32_t>& servers, std::uint64_t /*epoch*/) override {
+    // Each piece's only copy is the fused copy+CRC pass inside put_copy,
+    // straight into the server's block.
+    pool_.parallel_for(pieces.size(), [&](std::size_t i) {
+      cluster_.server(servers[i]).put_copy(BlockKey{id, static_cast<PieceIndex>(i)},
+                                           pieces[i]);
+    });
+  }
+
+  void put_owned(FileId id, std::vector<std::vector<std::uint8_t>> pieces,
+                 const std::vector<std::uint32_t>& servers, std::uint64_t /*epoch*/) override {
+    pool_.parallel_for(pieces.size(), [&](std::size_t i) {
+      cluster_.server(servers[i]).put(BlockKey{id, static_cast<PieceIndex>(i)},
+                                      std::move(pieces[i]));
+    });
+  }
+
+  bool fetch(FileId id, const FileMeta& layout, std::span<const std::uint32_t> pieces,
+             PieceSink& sink) override {
+    // A thread never throws out of the pool: a dead server, an injected
+    // fetch failure or a block-level checksum trip just leaves the piece
+    // undelivered.
+    pool_.parallel_for(pieces.size(), [&](std::size_t j) {
+      const std::uint32_t i = pieces[j];
+      try {
+        auto block = cluster_.server(layout.servers[i]).get(BlockKey{id, i});
+        if (!block) return;
+        const std::span<const std::uint8_t> bytes = block->bytes;
+        sink.on_piece(PieceView{i, bytes, std::move(block)});
+      } catch (const std::exception&) {
+      }
+    });
+    return true;
+  }
+
+  // Client NICs are provisioned like server NICs in the paper's clusters:
+  // a read is bounded by the slowest piece transfer at its server's
+  // goodput-degraded bandwidth (queueing belongs to the simulator), a write
+  // by the client's uplink shared across its parallel streams.
+  Seconds read_time(const FileMeta& layout, std::span<const std::uint32_t> pieces,
+                    std::size_t streams) const override {
+    Seconds slowest = 0.0;
+    for (const std::uint32_t i : pieces) {
+      const Bandwidth bw = cluster_.server(layout.servers[i]).bandwidth();
+      slowest = std::max(slowest, static_cast<double>(layout.piece_sizes[i]) /
+                                      (bw * goodput_.factor(streams)));
+    }
+    return slowest;
+  }
+
+  Seconds write_time(const std::vector<std::uint32_t>& servers, Bytes bytes) const override {
+    assert(!servers.empty());
+    const Bandwidth client_bw = cluster_.server(servers.front()).bandwidth();
+    return static_cast<double>(bytes) / (client_bw * goodput_.factor(servers.size()));
+  }
+
+ private:
+  Cluster& cluster_;
+  ThreadPool& pool_;
+  GoodputModel goodput_;
+};
+
+// The in-process LayoutService: the Master itself, plus an optional
+// attached StableStore for failover restores.
+class InprocLayoutService final : public LayoutService {
+ public:
+  InprocLayoutService(Master& master, StableStore* stable) : master_(master), stable_(stable) {}
+
+  LookupStatus lookup(FileId id, FileMeta& out) override {
+    auto meta = master_.lookup_for_read(id);
+    if (!meta) return LookupStatus::kUnknownFile;
+    out = std::move(*meta);
+    return LookupStatus::kFound;
+  }
+
+  std::uint64_t epoch(FileId id) override { return master_.file_epoch(id); }
+
+  std::uint64_t publish(FileId id, const FileMeta& meta) override {
+    if (master_.peek(id).has_value()) {
+      master_.update_file(id, meta);
+    } else {
+      master_.register_file(id, meta);
+    }
+    return master_.file_epoch(id);
+  }
+
+  std::optional<std::uint64_t> report_access(
+      const std::vector<std::pair<FileId, std::uint64_t>>& deltas) override {
+    return master_.report_access_batch(deltas);
+  }
+
+  std::optional<StableCopy> restore(FileId id) override {
+    if (stable_ == nullptr) return std::nullopt;
+    auto bytes = stable_->restore(id);
+    if (!bytes) return std::nullopt;
+    const Seconds time = static_cast<double>(bytes->size()) / stable_->bandwidth();
+    return StableCopy{std::move(*bytes), time};
+  }
+
+ private:
+  Master& master_;
+  StableStore* stable_;
+};
 
 }  // namespace
 
@@ -36,57 +139,83 @@ SpClient::SpClient(Cluster& cluster, Master& master, ThreadPool& pool, GoodputMo
 
 SpClient::SpClient(Cluster& cluster, Master& master, ThreadPool& pool, StableStore* stable,
                    fault::RetryPolicy retry, GoodputModel goodput, ClientCacheConfig cache)
-    : cluster_(cluster),
-      master_(master),
-      pool_(pool),
-      stable_(stable),
+    : SpClient(std::make_unique<InprocPieceStore>(cluster, pool, goodput),
+               std::make_unique<InprocLayoutService>(master, stable), retry, cache) {}
+
+SpClient::SpClient(std::unique_ptr<PieceStore> store, std::unique_ptr<LayoutService> layouts,
+                   fault::RetryPolicy retry, ClientCacheConfig cache)
+    : store_(std::move(store)),
+      layouts_(std::move(layouts)),
       retry_(retry),
-      goodput_(goodput),
       cache_config_(cache),
       layout_cache_(cache.cache_capacity),
       access_acc_(cache.report_flush_threshold) {}
 
-SpClient::~SpClient() { flush_access_reports(); }
+SpClient::~SpClient() {
+  try {
+    flush_access_reports();
+  } catch (const std::exception&) {
+    // Best effort: an unreachable master must not fail teardown.
+  }
+}
 
 std::uint64_t SpClient::flush_access_reports() {
   const auto deltas = access_acc_.drain();
   if (deltas.empty()) return 0;
-  return master_.report_access_batch(deltas);
+  const auto applied = layouts_->report_access(deltas);
+  if (!applied) {
+    // The report was lost: put the counts back so the next flush retries
+    // them — popularity must not silently leak away.
+    for (const auto& [id, delta] : deltas) access_acc_.record(id, delta);
+    return 0;
+  }
+  return *applied;
 }
 
-void SpClient::cache_own_write(FileId id) {
-  if (!cache_config_.layout_cache) return;
-  // The master assigned the epoch during register/update; re-read it so
-  // the cached entry carries the authoritative layout.
-  if (auto meta = master_.peek(id)) layout_cache_.put(id, std::move(*meta));
-}
-
-bool SpClient::layout_for_pass(FileId id, std::size_t pass, bool& from_cache,
-                               FileMeta& out) {
+LookupStatus SpClient::layout_for_pass(FileId id, std::size_t pass, bool& from_cache,
+                                       FileMeta& out) {
   const auto* probes = probes_.load(std::memory_order_acquire);
   from_cache = false;
   if (cache_config_.layout_cache && pass == 1) {
     if (layout_cache_.get_into(id, out)) {
       from_cache = true;
       if (probes) probes->layout_hits->add(1);
+      // The master saw no LOOKUP for this read: tally it locally and ship
+      // the batch once the threshold fills.
       if (access_acc_.record(id)) flush_access_reports();
-      return true;
+      return LookupStatus::kFound;
     }
     if (probes) probes->layout_misses->add(1);
   }
-  auto meta = master_.lookup_for_read(id);
-  if (!meta) return false;
-  if (cache_config_.layout_cache) layout_cache_.put(id, *meta);
-  out = std::move(*meta);
-  return true;
+  const LookupStatus status = layouts_->lookup(id, out);
+  if (status == LookupStatus::kFound && cache_config_.layout_cache) layout_cache_.put(id, out);
+  return status;
+}
+
+void SpClient::invalidate_layout(FileId id) {
+  if (!cache_config_.layout_cache) return;
+  layout_cache_.invalidate(id);
+  if (const auto* probes = probes_.load(std::memory_order_acquire)) {
+    probes->layout_invalidations->add(1);
+  }
+}
+
+IoResult SpClient::write(FileId id, std::span<const std::uint8_t> data,
+                         const std::vector<std::uint32_t>& servers) {
+  assert(!servers.empty());
+  std::vector<Bytes> sizes(servers.size());
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    sizes[i] = plain_piece_offset(data.size(), sizes.size(), i + 1) -
+               plain_piece_offset(data.size(), sizes.size(), i);
+  }
+  return write_sized(id, data, servers, sizes);
 }
 
 IoResult SpClient::write_sized(FileId id, std::span<const std::uint8_t> data,
                                const std::vector<std::uint32_t>& servers,
                                const std::vector<Bytes>& piece_sizes) {
   assert(servers.size() == piece_sizes.size());
-  // Pieces are views into `data`: each piece's only copy is the fused
-  // copy+CRC pass inside put_copy, straight into the server's block.
+  // Pieces are views into `data`; the store copies each exactly once.
   std::vector<std::span<const std::uint8_t>> pieces(piece_sizes.size());
   split_sized_views(data, piece_sizes, pieces);
   FileMeta meta;
@@ -94,59 +223,66 @@ IoResult SpClient::write_sized(FileId id, std::span<const std::uint8_t> data,
   meta.servers = servers;
   meta.piece_sizes = piece_sizes;
   meta.file_crc = crc32(data);
+  // Propose the next layout generation. The pieces carry it so a worker
+  // can reject a later fetch against the *previous* generation; the master
+  // keeps max(proposal, current + 1), so a weak proposal never regresses.
+  meta.epoch = layouts_->epoch(id) + 1;
+  store_->put(id, pieces, servers, meta.epoch);
+  meta.epoch = layouts_->publish(id, meta);
+  if (cache_config_.layout_cache) layout_cache_.put(id, std::move(meta));
+  layouts_->checkpoint(id, data);
 
-  pool_.parallel_for(pieces.size(), [&](std::size_t i) {
-    cluster_.server(servers[i]).put_copy(BlockKey{id, static_cast<PieceIndex>(i)},
-                                         pieces[i]);
-  });
-  if (master_.peek(id).has_value()) {
-    master_.update_file(id, std::move(meta));
-  } else {
-    master_.register_file(id, std::move(meta));
-  }
-  cache_own_write(id);
   IoResult result;
-  result.network_time = modelled_write_time(cluster_, servers, data.size(), goodput_);
+  result.network_time = store_->write_time(servers, data.size());
   return result;
 }
 
-IoResult SpClient::write(FileId id, std::span<const std::uint8_t> data,
-                         const std::vector<std::uint32_t>& servers) {
-  assert(!servers.empty());
-  std::vector<std::span<const std::uint8_t>> pieces(servers.size());
-  split_plain_views(data, servers.size(), pieces);
-  FileMeta meta;
-  meta.size = data.size();
-  meta.servers = servers;
-  meta.piece_sizes.reserve(pieces.size());
-  for (const auto& p : pieces) meta.piece_sizes.push_back(p.size());
-  meta.file_crc = crc32(data);
+namespace {
 
-  pool_.parallel_for(pieces.size(), [&](std::size_t i) {
-    cluster_.server(servers[i]).put_copy(BlockKey{id, static_cast<PieceIndex>(i)},
-                                         pieces[i]);
-  });
+// Receives one pass's pieces: each zero-copy view is copied exactly once,
+// straight to its final offset in the reassembly buffer, through the fused
+// crc32_copy kernel that also yields the piece CRC for the O(k·32)
+// whole-file combine. Runs on pool threads for distinct pieces.
+struct ReassemblySink final : PieceSink {
+  FileId id;
+  const FileMeta& meta;
+  std::uint8_t* out;
+  std::span<const Bytes> offsets;
+  std::span<std::uint32_t> piece_crcs;
+  std::span<std::uint8_t> fetched;
+  obs::TraceRecorder* trace;
+  std::uint64_t op;
 
-  if (master_.peek(id).has_value()) {
-    master_.update_file(id, std::move(meta));
-  } else {
-    master_.register_file(id, std::move(meta));
+  ReassemblySink(FileId id, const FileMeta& meta, std::uint8_t* out,
+                 std::span<const Bytes> offsets, std::span<std::uint32_t> piece_crcs,
+                 std::span<std::uint8_t> fetched, obs::TraceRecorder* trace, std::uint64_t op)
+      : id(id), meta(meta), out(out), offsets(offsets), piece_crcs(piece_crcs),
+        fetched(fetched), trace(trace), op(op) {}
+
+  void on_piece(PieceView piece) override {
+    const std::uint32_t i = piece.piece;
+    if (piece.bytes.size() != meta.piece_sizes[i]) return;
+    piece_crcs[i] = crc32_copy(std::span<std::uint8_t>(out + offsets[i], piece.bytes.size()),
+                               piece.bytes);
+    fetched[i] = 1;
+    if (trace) {
+      trace->record(obs::TraceKind::kPieceFetch, op, id, meta.servers[i], i,
+                    static_cast<double>(piece.bytes.size()));
+    }
   }
-  cache_own_write(id);
+};
 
-  IoResult result;
-  result.network_time = modelled_write_time(cluster_, servers, data.size(), goodput_);
-  return result;
-}
+}  // namespace
 
 // One pass of the degraded-read state machine:
 //   fetch (per-piece retries) -> failover (stable restore) -> verify.
-// A false return means "retry the whole read with a fresh layout": either
-// pieces stayed unfetchable with no usable stable copy, or the end-to-end
-// CRC failed (racing repartition, injected wire flip) — both heal on a
-// later pass once the layout settles or the flip doesn't recur.
+// A false return means "retry the whole read with a fresh layout": a
+// server rejected the layout's epoch, pieces stayed unfetchable with no
+// usable stable copy, or the end-to-end CRC failed (racing repartition,
+// injected wire flip) — all heal on a later pass once the layout settles
+// or the flip doesn't recur.
 bool SpClient::read_pass(FileId id, std::size_t pass, std::uint64_t op,
-                         ReadScratch& scratch, std::string& error) {
+                         ReadScratch& scratch, const char*& error) {
   const auto* probes = probes_.load(std::memory_order_acquire);
   obs::TraceRecorder* trace = probes ? probes->trace : nullptr;
   const FileMeta& meta = scratch.meta;
@@ -159,11 +295,13 @@ bool SpClient::read_pass(FileId id, std::size_t pass, std::uint64_t op,
   auto offsets = scratch.arena.make_span<Bytes>(k);
   auto fetched = scratch.arena.make_span<std::uint8_t>(k);
   auto piece_crcs = scratch.arena.make_span<std::uint32_t>(k);
+  auto pending = scratch.arena.make_span<std::uint32_t>(k);
   Bytes total = 0;
   for (std::size_t i = 0; i < k; ++i) {
     offsets[i] = total;
     total += meta.piece_sizes[i];
     fetched[i] = 0;
+    pending[i] = static_cast<std::uint32_t>(i);
   }
 
   // resize, not assign(total, 0): every byte of the live range is written
@@ -171,77 +309,47 @@ bool SpClient::read_pass(FileId id, std::size_t pass, std::uint64_t op,
   // succeed, so pre-zeroing is pure overhead; a warmed buffer reuses its
   // capacity and allocates nothing.
   result.bytes.resize(total);
-  // Zero-copy reassembly: each shared block's bytes are copied exactly
-  // once, directly into their final offset in the output buffer — through
-  // the fused crc32_copy kernel, which also yields the piece's CRC for the
-  // O(k·32) whole-file combine below. Fetch outcomes are per-piece; a
-  // thread never throws out of the pool.
-  std::atomic<std::size_t> refetches{0};
-  pool_.parallel_for(k, [&](std::size_t i) {
-    const BlockKey key{id, static_cast<PieceIndex>(i)};
-    for (std::size_t attempt = 1; attempt <= retry_.piece_attempts; ++attempt) {
-      try {
-        auto block = cluster_.server(meta.servers[i]).get(key);
-        if (block && block->bytes.size() == meta.piece_sizes[i]) {
-          piece_crcs[i] = crc32_copy(
-              std::span<std::uint8_t>(result.bytes.data() + offsets[i],
-                                      meta.piece_sizes[i]),
-              block->bytes);
-          fetched[i] = 1;
-          if (trace) {
-            trace->record(obs::TraceKind::kPieceFetch, op, id, meta.servers[i],
-                          static_cast<std::uint32_t>(i),
-                          static_cast<double>(meta.piece_sizes[i]));
-          }
-          return;
-        }
-      } catch (const std::exception&) {
-        // Dead server, injected fetch failure, or a block-level checksum
-        // trip: all retryable.
-      }
-      if (attempt < retry_.piece_attempts) {
-        refetches.fetch_add(1, std::memory_order_relaxed);
-        if (trace) {
-          trace->record(obs::TraceKind::kPieceRetry, op, id, meta.servers[i],
-                        static_cast<std::uint32_t>(i), static_cast<double>(attempt));
-        }
-        fault::backoff_sleep(retry_, attempt, fault::retry_token(id, i, pass));
+  ReassemblySink sink(id, meta, result.bytes.data(), offsets, piece_crcs, fetched, trace, op);
+  std::size_t n_pending = k;
+  for (std::size_t attempt = 1; n_pending > 0; ++attempt) {
+    if (!store_->fetch(id, meta, pending.first(n_pending), sink)) {
+      error = "stale layout epoch";
+      return false;
+    }
+    std::size_t still = 0;
+    for (std::size_t j = 0; j < n_pending; ++j) {
+      if (!fetched[pending[j]]) pending[still++] = pending[j];
+    }
+    n_pending = still;
+    if (n_pending == 0 || attempt >= retry_.piece_attempts) break;
+    result.retries += n_pending;
+    if (trace) {
+      for (std::size_t j = 0; j < n_pending; ++j) {
+        trace->record(obs::TraceKind::kPieceRetry, op, id, meta.servers[pending[j]], pending[j],
+                      static_cast<double>(attempt));
       }
     }
-  });
-  result.retries += refetches.load(std::memory_order_relaxed);
-
-  auto failed = scratch.arena.make_span<std::size_t>(k);
-  std::size_t n_failed = 0;
-  for (std::size_t i = 0; i < k; ++i) {
-    if (!fetched[i]) failed[n_failed++] = i;
+    fault::backoff_sleep(retry_, attempt, fault::retry_token(id, pending[0], pass));
   }
-  failed = failed.first(n_failed);
-  std::size_t degraded = 0;
-  if (!failed.empty()) {
+
+  std::optional<StableCopy> stable;
+  if (n_pending > 0) {
     // Failover: restore the checkpointed file inline and serve the
     // unfetchable pieces from it (the read completes degraded while the
-    // HealthMonitor/RecoveryManager repair catches up in the background).
-    bool restored = false;
-    if (stable_ != nullptr) {
-      const auto bytes = stable_->restore(id);
-      if (bytes && bytes->size() == total && crc32(*bytes) == meta.file_crc) {
-        for (std::size_t i : failed) {
-          std::copy(bytes->begin() + static_cast<std::ptrdiff_t>(offsets[i]),
-                    bytes->begin() + static_cast<std::ptrdiff_t>(offsets[i] + meta.piece_sizes[i]),
-                    result.bytes.begin() + static_cast<std::ptrdiff_t>(offsets[i]));
-          ++degraded;
-          if (trace) {
-            trace->record(obs::TraceKind::kPieceDegraded, op, id, meta.servers[i],
-                          static_cast<std::uint32_t>(i));
-          }
-        }
-        restored = true;
-      }
-    }
-    if (!restored) {
+    // repair catches up in the background).
+    stable = layouts_->restore(id);
+    if (!stable || stable->bytes.size() != total || crc32(stable->bytes) != meta.file_crc) {
       error = "piece(s) unfetchable and no usable stable copy";
       return false;
+    }
+    for (std::size_t j = 0; j < n_pending; ++j) {
+      const std::uint32_t i = pending[j];
+      const auto from = stable->bytes.begin() + static_cast<std::ptrdiff_t>(offsets[i]);
+      std::copy(from, from + static_cast<std::ptrdiff_t>(meta.piece_sizes[i]),
+                result.bytes.begin() + static_cast<std::ptrdiff_t>(offsets[i]));
+      if (trace) {
+        trace->record(obs::TraceKind::kPieceDegraded, op, id, meta.servers[i], i);
+      }
     }
   }
 
@@ -250,8 +358,8 @@ bool SpClient::read_pass(FileId id, std::size_t pass, std::uint64_t op,
   // xors, the reassembled buffer is never rescanned. Degraded pass: some
   // ranges came from the stable restore (no fused CRC), so fall back to
   // one full pass.
-  std::uint32_t whole_crc;
-  if (degraded == 0 && k > 0) {
+  std::uint32_t whole_crc = 0;
+  if (n_pending == 0 && k > 0) {
     whole_crc = piece_crcs[0];
     for (std::size_t i = 1; i < k; ++i) {
       whole_crc = scratch.combiner.combine(whole_crc, piece_crcs[i], meta.piece_sizes[i]);
@@ -263,31 +371,24 @@ bool SpClient::read_pass(FileId id, std::size_t pass, std::uint64_t op,
     error = "whole-file checksum mismatch";
     return false;
   }
-  result.degraded_pieces += degraded;
+  result.degraded_pieces += n_pending;
   result.degraded = result.degraded_pieces > 0;
 
-  // Parallel fetch: modelled time is the slowest piece at its server's
-  // goodput-degraded bandwidth (queueing effects belong to the simulator);
-  // a degraded read additionally pays the whole-file restore at the
-  // stable store's (slow) recovery bandwidth.
-  Seconds slowest = 0.0;
+  // Modelled time: the pieces served from the cache in parallel, and a
+  // degraded read additionally pays the whole-file restore.
+  std::size_t n_fetched = 0;
   for (std::size_t i = 0; i < k; ++i) {
-    if (!fetched[i]) continue;
-    const Bandwidth bw = cluster_.server(meta.servers[i]).bandwidth();
-    slowest =
-        std::max(slowest, static_cast<double>(meta.piece_sizes[i]) / (bw * goodput_.factor(k)));
+    if (fetched[i]) pending[n_fetched++] = static_cast<std::uint32_t>(i);
   }
-  if (degraded > 0 && stable_ != nullptr) {
-    slowest = std::max(slowest, static_cast<double>(total) / stable_->bandwidth());
-  }
-  result.network_time = slowest;
+  result.network_time = store_->read_time(meta, pending.first(n_fetched), k);
+  if (stable) result.network_time = std::max(result.network_time, stable->modelled_time);
   return true;
 }
 
 IoResult SpClient::read(FileId id) {
-  // Compatibility wrapper: one-shot scratch. Hot callers (benches, the
-  // adversarial scenario readers) hold a ReadScratch per thread and call
-  // the allocation-free overload directly.
+  // One-shot scratch. Hot callers (benches, the adversarial scenario
+  // readers) hold a ReadScratch per thread and call the allocation-free
+  // overload directly.
   ReadScratch scratch;
   return std::move(read(id, scratch));
 }
@@ -306,8 +407,9 @@ IoResult& SpClient::read(FileId id, ReadScratch& scratch) {
   result.degraded_pieces = 0;
   result.degraded = false;
   result.layout_cached = false;
-  std::string error = "unknown file";
+  const char* error = "layout lookup failed";
   for (std::size_t pass = 1; pass <= retry_.read_attempts; ++pass) {
+    result.passes = pass;
     if (pass > 1) {
       ++result.retries;
       if (trace) {
@@ -317,21 +419,20 @@ IoResult& SpClient::read(FileId id, ReadScratch& scratch) {
       fault::backoff_sleep(retry_, pass, fault::retry_token(id, 0, pass));
     }
     bool from_cache = false;
-    if (!layout_for_pass(id, pass, from_cache, scratch.meta)) {
+    const LookupStatus status = layout_for_pass(id, pass, from_cache, scratch.meta);
+    if (status == LookupStatus::kUnknownFile) {
       if (probes) probes->read_failures->add(1);
       if (trace) trace->record(obs::TraceKind::kReadFailed, op, id);
       throw std::runtime_error("SpClient::read: unknown file");
     }
+    if (status == LookupStatus::kUnavailable) continue;  // transient: back off, retry
     if (read_pass(id, pass, op, scratch, error)) {
       result.layout_cached = from_cache;
-      if (result.degraded && cache_config_.layout_cache) {
-        // A degraded success means this layout references pieces that are
-        // gone. Drop it so the next read re-LOOKUPs and picks up a
-        // repair's re-placement, instead of replaying the stale layout
-        // and paying the stable-store failover on every read forever.
-        layout_cache_.invalidate(id);
-        if (probes) probes->layout_invalidations->add(1);
-      }
+      // A degraded success means this layout references pieces that are
+      // gone. Drop it so the next read re-LOOKUPs and picks up a repair's
+      // re-placement, instead of replaying the stale layout and paying the
+      // stable-store failover on every read forever.
+      if (result.degraded) invalidate_layout(id);
       if (probes) {
         const double wall = elapsed_seconds(start);
         probes->reads->add(1);
@@ -348,20 +449,14 @@ IoResult& SpClient::read(FileId id, ReadScratch& scratch) {
       }
       return result;
     }
-    // The pass failed against this layout: drop it from the cache so the
-    // next pass (and concurrent readers) re-LOOKUP instead of replaying a
-    // stale layout.
-    if (cache_config_.layout_cache) {
-      layout_cache_.invalidate(id);
-      if (probes) probes->layout_invalidations->add(1);
-    }
+    invalidate_layout(id);
   }
   if (probes) {
     probes->read_failures->add(1);
     probes->retries->add(result.retries);
     if (trace) trace->record(obs::TraceKind::kReadFailed, op, id);
   }
-  throw std::runtime_error("SpClient::read: " + error + " after " +
+  throw std::runtime_error(std::string("SpClient::read: ") + error + " after " +
                            std::to_string(retry_.read_attempts) + " attempts");
 }
 
@@ -392,7 +487,12 @@ void SpClient::attach_observability(obs::MetricsRegistry* registry,
 
 EcClient::EcClient(Cluster& cluster, Master& master, ThreadPool& pool, std::size_t k,
                    std::size_t n, GoodputModel goodput)
-    : cluster_(cluster), master_(master), pool_(pool), rs_(k, n), goodput_(goodput) {}
+    : EcClient(std::make_unique<InprocPieceStore>(cluster, pool, goodput),
+               std::make_unique<InprocLayoutService>(master, nullptr), k, n) {}
+
+EcClient::EcClient(std::unique_ptr<PieceStore> store, std::unique_ptr<LayoutService> layouts,
+                   std::size_t k, std::size_t n)
+    : store_(std::move(store)), layouts_(std::move(layouts)), rs_(k, n) {}
 
 IoResult EcClient::write(FileId id, std::span<const std::uint8_t> data,
                          const std::vector<std::uint32_t>& servers) {
@@ -413,81 +513,98 @@ IoResult EcClient::write(FileId id, std::span<const std::uint8_t> data,
   FileMeta meta;
   meta.size = data.size();
   meta.servers = servers;
-  meta.piece_sizes.reserve(shards.size());
-  for (const auto& s : shards) meta.piece_sizes.push_back(s.bytes.size());
   meta.file_crc = crc32(data);
-
+  std::vector<std::vector<std::uint8_t>> pieces;
+  pieces.reserve(shards.size());
   Bytes total = 0;
-  for (const auto& s : shards) total += s.bytes.size();
-  pool_.parallel_for(shards.size(), [&](std::size_t i) {
-    cluster_.server(servers[i]).put(BlockKey{id, static_cast<PieceIndex>(i)},
-                                    std::move(shards[i].bytes));
-  });
-
-  if (master_.peek(id).has_value()) {
-    master_.update_file(id, std::move(meta));
-  } else {
-    master_.register_file(id, std::move(meta));
+  for (auto& s : shards) {
+    meta.piece_sizes.push_back(s.bytes.size());
+    total += s.bytes.size();
+    pieces.push_back(std::move(s.bytes));
   }
+  meta.epoch = layouts_->epoch(id) + 1;
+  store_->put_owned(id, std::move(pieces), servers, meta.epoch);
+  layouts_->publish(id, meta);
 
   IoResult result;
-  result.network_time = modelled_write_time(cluster_, servers, total, goodput_);
+  result.network_time = store_->write_time(servers, total);
   result.compute_time = encode_time;
   return result;
 }
 
-IoResult EcClient::read(FileId id, Rng& rng) {
-  const auto meta = master_.lookup_for_read(id);
-  if (!meta) throw std::runtime_error("EcClient::read: unknown file");
-  const std::size_t k = rs_.data_shards();
-  const std::size_t n = rs_.total_shards();
-  if (meta->partitions() != n) throw std::runtime_error("EcClient::read: layout mismatch");
+namespace {
 
-  // Late binding: sample k+1 distinct shards; decode from the first k of
-  // the sample (in the real system, the k fastest to arrive).
-  const std::size_t fetch_count = std::min(k + 1, n);
-  const auto picks = rng.sample_without_replacement(n, fetch_count);
+// Collects the late-binding sample's shards by their slot in the sample;
+// the owners keep every view alive through the decode.
+struct ShardSink final : PieceSink {
+  std::span<const std::size_t> picks;
+  std::vector<PieceView> got;
 
-  // Zero-copy shard access: the fetched BlockRefs stay alive for the whole
-  // decode, and the decoder reads the cached bytes through non-owning
-  // ShardViews — the old path copied every shard into a working Shard
-  // first, which doubled the read's memory traffic.
-  std::vector<BlockRef> blocks(fetch_count);
-  std::vector<ShardView> views(fetch_count);
-  pool_.parallel_for(fetch_count, [&](std::size_t j) {
-    const std::size_t piece = picks[j];
-    auto block = cluster_.server(meta->servers[piece])
-                     .get(BlockKey{id, static_cast<PieceIndex>(piece)});
-    if (!block) throw std::runtime_error("EcClient::read: missing shard");
-    views[j] = ShardView{piece, block->bytes};
-    blocks[j] = std::move(block);
-  });
+  explicit ShardSink(std::span<const std::size_t> picks) : picks(picks), got(picks.size()) {}
 
-  const auto decode_start = std::chrono::steady_clock::now();
-  IoResult result;
-  result.bytes.resize(meta->size);
-  RsScratch scratch;
-  // Decode from the first k of the sample (the k "fastest").
-  rs_.decode_into(std::span<const ShardView>(views.data(), k), meta->size, result.bytes,
-                  scratch);
-  result.compute_time = elapsed_seconds(decode_start);
-  if (auto* probes = probes_.load(std::memory_order_acquire)) {
-    probes->decode_bytes->add(meta->size);
-    if (result.compute_time > 0.0) {
-      probes->decode_gbps->set(static_cast<std::int64_t>(
-          static_cast<double>(meta->size) / result.compute_time / 1e6));  // x1e3 GB/s
+  void on_piece(PieceView piece) override {
+    for (std::size_t j = 0; j < picks.size(); ++j) {
+      if (picks[j] == piece.piece) {
+        got[j] = std::move(piece);
+        return;
+      }
     }
   }
-  if (crc32(result.bytes) != meta->file_crc) {
+};
+
+}  // namespace
+
+IoResult EcClient::read(FileId id, Rng& rng) {
+  FileMeta meta;
+  const LookupStatus status = layouts_->lookup(id, meta);
+  if (status != LookupStatus::kFound) {
+    throw std::runtime_error(status == LookupStatus::kUnknownFile
+                                 ? "EcClient::read: unknown file"
+                                 : "EcClient::read: layout lookup failed");
+  }
+  const std::size_t k = rs_.data_shards();
+  const std::size_t n = rs_.total_shards();
+  if (meta.partitions() != n) throw std::runtime_error("EcClient::read: layout mismatch");
+
+  // Late binding: fetch k+1 distinct shards and decode from the first k of
+  // the sample that arrived (in the real system, the k fastest), so one
+  // lost shard costs nothing.
+  const std::size_t fetch_count = std::min(k + 1, n);
+  const auto picks = rng.sample_without_replacement(n, fetch_count);
+  std::vector<std::uint32_t> wanted(picks.begin(), picks.end());
+  ShardSink sink(picks);
+  if (!store_->fetch(id, meta, wanted, sink)) {
+    throw std::runtime_error("EcClient::read: stale layout epoch");
+  }
+  std::vector<ShardView> views;
+  views.reserve(k);
+  wanted.clear();
+  for (std::size_t j = 0; j < fetch_count && views.size() < k; ++j) {
+    if (!sink.got[j].owner) continue;
+    views.push_back(ShardView{picks[j], sink.got[j].bytes});
+    wanted.push_back(static_cast<std::uint32_t>(picks[j]));
+  }
+  if (views.size() < k) throw std::runtime_error("EcClient::read: not enough shards survived");
+
+  // Zero-copy decode: the decoder reads the fetched bytes through the
+  // non-owning views while the sink's owners keep them alive.
+  const auto decode_start = std::chrono::steady_clock::now();
+  IoResult result;
+  result.bytes.resize(meta.size);
+  RsScratch scratch;
+  rs_.decode_into(views, meta.size, result.bytes, scratch);
+  result.compute_time = elapsed_seconds(decode_start);
+  if (auto* probes = probes_.load(std::memory_order_acquire)) {
+    probes->decode_bytes->add(meta.size);
+    if (result.compute_time > 0.0) {
+      probes->decode_gbps->set(static_cast<std::int64_t>(
+          static_cast<double>(meta.size) / result.compute_time / 1e6));  // x1e3 GB/s
+    }
+  }
+  if (crc32(result.bytes) != meta.file_crc) {
     throw std::runtime_error("EcClient::read: whole-file checksum mismatch");
   }
-  Seconds slowest = 0.0;
-  for (std::size_t j = 0; j < k; ++j) {
-    const Bandwidth bw = cluster_.server(meta->servers[views[j].index]).bandwidth();
-    slowest = std::max(slowest, static_cast<double>(views[j].bytes.size()) /
-                                    (bw * goodput_.factor(fetch_count)));
-  }
-  result.network_time = slowest;
+  result.network_time = store_->read_time(meta, wanted, fetch_count);
   return result;
 }
 

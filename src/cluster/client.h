@@ -1,33 +1,35 @@
 // SP-Client and EC-Client: the application-facing read/write paths
-// (Section 6.1, Fig. 9a).
+// (Section 6.1, Fig. 9a) — the only read/write engines in the repo. Both
+// run over the PieceStore/LayoutService seam (cluster/client_seam.h): the
+// Cluster& constructors build its in-process implementation, and the RPC
+// front-ends (rpc::RpcSpClient, rpc::RpcEcClient) build its RPC one.
 //
 // SpClient implements selective partition I/O on real bytes:
-//   * write: split the file into k contiguous pieces, store each piece on
-//     its assigned server, register the layout (incl. whole-file CRC) with
-//     the master;
-//   * read: look up the layout, fetch all pieces in parallel through the
-//     thread pool, verify per-block and whole-file checksums, reassemble.
-//     Fetches are zero-copy (shared BlockRefs into the stores); each
-//     piece's bytes are copied exactly once, into their final offset in
-//     the reassembled file.
+//   * write: split the file into k contiguous pieces, put each piece on its
+//     assigned server stamped with the next layout epoch, publish the
+//     layout (incl. whole-file CRC) and cache it;
+//   * read: take the layout (cached, or a fresh lookup), fetch the k pieces
+//     as one batch, copy each zero-copy piece view exactly once into its
+//     final offset through the fused crc32_copy kernel, and stitch the
+//     whole-file CRC from the per-piece CRCs.
 //
 // EcClient does the same through the (k, n) Reed-Solomon codec, fetching
-// k + 1 shards (late binding) and decoding from the k that arrive first —
-// here deterministically the first k of the sampled set.
+// k + 1 shards (late binding) and decoding from the first k of the sample
+// that arrive, straight from the zero-copy views.
 //
 // Both return the *modelled* network time of the operation alongside the
-// data (see cache_server.h on virtual-time accounting).
+// data where the deployment models it (see cache_server.h on virtual-time
+// accounting); over RPC it is 0 and wall time is the measure.
 //
-// Degraded reads (Section 8 "Fault Tolerance"): SpClient::read no longer
-// dies on the first missing piece or failed fetch. Each piece is retried
-// with capped exponential backoff + jitter (fault::RetryPolicy); a piece
-// that stays unfetchable fails over to an inline StableStore restore when
-// a stable store is attached; and a whole-file checksum mismatch (e.g. a
-// read racing a repartition, or an injected wire flip) triggers a fresh
-// pass with a re-fetched layout — which is how readers ride through a
-// concurrent HealthMonitor/RecoveryManager repair. IoResult reports the
-// retry count and whether (and how many pieces of) the read was served
-// degraded.
+// Degraded reads (Section 8 "Fault Tolerance"): a missing or failed piece
+// is re-fetched with capped exponential backoff + jitter
+// (fault::RetryPolicy); a piece that stays unfetchable fails over to the
+// stable tier's copy of the file where there is one; a server's stale-epoch
+// rejection or a whole-file checksum mismatch (a read racing a
+// repartition, an injected wire flip) drops the cached layout and starts a
+// fresh pass with a re-fetched layout — which is how readers ride through
+// a concurrent repair. IoResult reports the retry count, the passes, and
+// whether (and how many pieces of) the read was served degraded.
 #pragma once
 
 #include <atomic>
@@ -43,6 +45,7 @@
 #include "common/thread_pool.h"
 #include "common/units.h"
 #include "cluster/cache_server.h"
+#include "cluster/client_seam.h"
 #include "cluster/layout_cache.h"
 #include "cluster/master.h"
 #include "erasure/rs_code.h"
@@ -58,6 +61,7 @@ struct IoResult {
   Seconds network_time = 0.0;       // modelled transfer time of the op
   Seconds compute_time = 0.0;       // modelled codec time (EC only)
   std::size_t retries = 0;          // piece refetches + extra whole-read passes
+  std::size_t passes = 1;           // read passes (>1: the layout was re-fetched)
   std::size_t degraded_pieces = 0;  // pieces served from stable storage
   bool degraded = false;            // true iff any piece failed over to stable
   bool layout_cached = false;       // read served without a master LOOKUP
@@ -67,8 +71,9 @@ struct IoResult {
 // read needs that would otherwise be heap-allocated per call: the
 // reassembly buffer (result.bytes), the layout copy, the per-pass
 // bookkeeping arrays (arena-backed), and the CRC combine operators. After
-// one warming read, a cached-layout read of a same-or-smaller file is
-// allocation-free end to end (asserted by tests/test_cluster_read_alloc).
+// one warming read, an in-process cached-layout read of a same-or-smaller
+// file is allocation-free end to end (asserted by
+// tests/test_cluster_read_alloc; over RPC the envelopes still allocate).
 //
 // Not thread-safe: one ReadScratch per reader thread, and the IoResult
 // reference returned by read(id, scratch) aliases scratch.result — it is
@@ -92,6 +97,10 @@ class SpClient {
            fault::RetryPolicy retry, GoodputModel goodput = GoodputModel{},
            ClientCacheConfig cache = ClientCacheConfig{});
 
+  // Over an explicit seam (rpc::RpcSpClient builds its RPC implementation).
+  SpClient(std::unique_ptr<PieceStore> store, std::unique_ptr<LayoutService> layouts,
+           fault::RetryPolicy retry, ClientCacheConfig cache);
+
   // Flushes pending batched access reports (best effort).
   ~SpClient();
 
@@ -107,27 +116,26 @@ class SpClient {
                        const std::vector<std::uint32_t>& servers,
                        const std::vector<Bytes>& piece_sizes);
 
-  // Parallel read + reassembly + verification, with per-piece retry,
-  // stable-store failover, and whole-read repair-aware passes (see the
-  // header comment). Throws std::runtime_error only once the file is
-  // unknown or every pass of the retry budget is exhausted.
+  // Batched fetch + reassembly + verification, with per-piece retry,
+  // stable failover, and whole-read repair-aware passes (see the header
+  // comment). Throws std::runtime_error only once the file is unknown or
+  // every pass of the retry budget is exhausted.
   //
   // Metadata-light: pass 1 serves the layout from the client cache when
   // present (no master LOOKUP; the access is tallied locally and shipped
-  // via Master::report_access_batch on the flush threshold). Any pass
-  // failure invalidates the cached layout, and passes >= 2 always
-  // re-LOOKUP — so stale layouts converge through the existing retry
-  // machinery.
+  // as one batched report on the flush threshold). Any pass failure
+  // invalidates the cached layout, and passes >= 2 always re-LOOKUP — so
+  // stale layouts converge through the existing retry machinery.
   IoResult read(FileId id);
 
   // Allocation-free variant: identical semantics to read(id), but every
   // per-read buffer lives in `scratch` and is reused across calls. The
   // returned reference aliases scratch.result (valid until the next read
   // with the same scratch). This is the steady-state hot path: with a
-  // warmed scratch and a cached layout, a read performs zero heap
-  // allocations — the piece copies run through the fused crc32_copy kernel
-  // and the whole-file CRC is stitched from the per-piece CRCs (O(k·32))
-  // instead of rescanning the reassembled bytes.
+  // warmed scratch and a cached layout, an in-process read performs zero
+  // heap allocations — the piece copies run through the fused crc32_copy
+  // kernel and the whole-file CRC is stitched from the per-piece CRCs
+  // (O(k·32)) instead of rescanning the reassembled bytes.
   IoResult& read(FileId id, ReadScratch& scratch);
 
   // Ship pending cache-served access counts to the master now. Returns
@@ -137,6 +145,8 @@ class SpClient {
 
   const fault::RetryPolicy& retry_policy() const { return retry_; }
   const LayoutCache& layout_cache() const { return layout_cache_; }
+  LayoutCache& layout_cache() { return layout_cache_; }
+  bool caches_layouts() const { return cache_config_.layout_cache; }
 
   // --- Observability (src/obs) ----------------------------------------
   // Resolve the shared "client.*" metrics in `registry` once and start
@@ -171,27 +181,26 @@ class SpClient {
 
  private:
   // One full read pass against the layout in scratch.meta. Returns true on
-  // success; false means retryable failure (missing pieces without a
-  // usable stable copy, or a whole-file checksum mismatch). `op` is the
-  // trace op-id of the enclosing read (0 when tracing is detached).
+  // success; false means retryable failure (a stale-epoch rejection,
+  // missing pieces without a usable stable copy, or a whole-file checksum
+  // mismatch). `op` is the trace op-id of the enclosing read (0 when
+  // tracing is detached).
   bool read_pass(FileId id, std::size_t pass, std::uint64_t op, ReadScratch& scratch,
-                 std::string& error);
+                 const char*& error);
 
   // Layout for pass `pass`, written into `out`: cache on pass 1 (when
-  // enabled; a hit copy-assigns into out's warmed vectors), fresh master
-  // LOOKUP otherwise (write-through to the cache). Sets `from_cache` and
-  // handles the hit/miss tallies + batched reporting. False: unknown file.
-  bool layout_for_pass(FileId id, std::size_t pass, bool& from_cache, FileMeta& out);
+  // enabled; a hit copy-assigns into out's warmed vectors), fresh lookup
+  // otherwise (write-through to the cache). Sets `from_cache` and handles
+  // the hit/miss tallies + batched reporting.
+  LookupStatus layout_for_pass(FileId id, std::size_t pass, bool& from_cache, FileMeta& out);
 
-  // Write-through helper: publish the just-registered layout to the cache.
-  void cache_own_write(FileId id);
+  // Drop a layout a pass proved stale, so the next pass (and concurrent
+  // readers) re-LOOKUP instead of replaying it.
+  void invalidate_layout(FileId id);
 
-  Cluster& cluster_;
-  Master& master_;
-  ThreadPool& pool_;
-  StableStore* stable_ = nullptr;
+  std::unique_ptr<PieceStore> store_;
+  std::unique_ptr<LayoutService> layouts_;
   fault::RetryPolicy retry_;
-  GoodputModel goodput_;
   ClientCacheConfig cache_config_;
   LayoutCache layout_cache_;
   AccessAccumulator access_acc_;
@@ -204,11 +213,16 @@ class EcClient {
   EcClient(Cluster& cluster, Master& master, ThreadPool& pool, std::size_t k, std::size_t n,
            GoodputModel goodput = GoodputModel{});
 
+  // Over an explicit seam (rpc::RpcEcClient builds its RPC implementation).
+  EcClient(std::unique_ptr<PieceStore> store, std::unique_ptr<LayoutService> layouts,
+           std::size_t k, std::size_t n);
+
   // Encode into n shards and store them on the n listed (distinct) servers.
   IoResult write(FileId id, std::span<const std::uint8_t> data,
                  const std::vector<std::uint32_t>& servers);
 
-  // Late-binding read: sample k+1 of the n shards, decode from k.
+  // Late-binding read: sample k+1 of the n shards, decode from the first k
+  // of the sample that arrive (one lost shard is absorbed by the hedge).
   IoResult read(FileId id, Rng& rng);
 
   const ReedSolomon& codec() const { return rs_; }
@@ -226,11 +240,9 @@ class EcClient {
   };
 
  private:
-  Cluster& cluster_;
-  Master& master_;
-  ThreadPool& pool_;
+  std::unique_ptr<PieceStore> store_;
+  std::unique_ptr<LayoutService> layouts_;
   ReedSolomon rs_;
-  GoodputModel goodput_;
   std::unique_ptr<CodecProbes> probes_storage_;
   std::atomic<CodecProbes*> probes_{nullptr};
 };

@@ -5,8 +5,8 @@
 // synchronous LOOKUP. Real deployments keep the metadata/query path off
 // the hot loop (DistCache; Aktaş & Soljanin's access-load control): the
 // client caches layouts and only falls back to the master when the cached
-// layout proves stale. Two pieces implement that here, shared by the
-// in-process SpClient and the RPC RpcSpClient:
+// layout proves stale. Two pieces implement that here, owned by the one
+// SpClient engine whichever seam it runs over:
 //
 //   * LayoutCache — a bounded, sharded FileId -> FileMeta map with epoch
 //     validation. put() keeps the *newer* epoch on a race, so a slow
@@ -38,12 +38,12 @@
 
 namespace spcache {
 
-// Knobs for the metadata-light read path, shared by the in-process
-// SpClient and the RPC RpcSpClient. Defaults keep the master off the
+// Knobs for the metadata-light read path. Defaults keep the master off the
 // steady-state read loop; `layout_cache = false` restores the
-// always-LOOKUP behaviour (the bench baseline). `coalesce` and
-// `single_flight` only apply to the RPC client (the in-process client
-// has no envelopes to save).
+// always-LOOKUP behaviour (the bench baseline). The SpClient engine reads
+// `layout_cache`, `cache_capacity` and `report_flush_threshold`;
+// `coalesce` belongs to the RPC PieceStore and `single_flight` to the
+// RpcSpClient front-end (the in-process seam has no envelopes to save).
 struct ClientCacheConfig {
   bool layout_cache = true;
   bool coalesce = true;      // kGetBlockMulti per worker instead of per piece

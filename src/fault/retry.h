@@ -1,8 +1,9 @@
 // Retry policy: capped exponential backoff with deterministic jitter.
 //
-// Shared by the degraded read paths (`SpClient::read`, `RpcSpClient`):
-// a failed piece fetch is retried `piece_attempts` times with
-// exponentially growing, jittered sleeps; a whole read pass (which
+// Drives the one degraded-read loop (`SpClient::read`, in-process and
+// behind `RpcSpClient`): a piece fetch is attempted `piece_attempts`
+// times per pass, with an exponentially growing, jittered sleep before
+// each re-fetch of the pieces still missing; a whole read pass (which
 // re-fetches the layout, so it picks up a concurrent repair's
 // re-placement) is repeated up to `read_attempts` times. Jitter is a pure
 // function of (jitter_seed, token) — callers pass a token derived from

@@ -1,6 +1,6 @@
 // The SP-Cache components as RPC services (Fig. 9, over the in-process
 // bus): cache workers expose block put/get/erase, the SP-Master exposes
-// registration and layout lookup, and an RPC SP-Client performs the
+// registration and layout lookup, and the RPC SP/EC clients run the
 // paper's read/write flows purely through messages — every byte and every
 // piece of metadata crosses a serialization boundary, exactly as in the
 // networked deployment.
@@ -9,21 +9,21 @@
 // clients >= 1000.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "common/arena.h"
 #include "cluster/cache_server.h"
+#include "cluster/client.h"
 #include "cluster/layout_cache.h"
 #include "cluster/master.h"
 #include "cluster/stable_store.h"
-#include "erasure/rs_code.h"
 #include "fault/retry.h"
 #include "rpc/bus.h"
 
@@ -138,28 +138,26 @@ struct RpcReadStats {
   bool shared = false;         // piggybacked on a concurrent read (single-flight)
 };
 
-// An SP-Client that speaks only RPC. Reads follow Section 6.1: LOOKUP at
-// the master (which bumps the access count), parallel GETs to the listed
-// workers, client-side reassembly and whole-file CRC verification.
-//
-// Fault tolerance: every GET carries a bounded wait; a timed-out or
-// failed GET is retried with capped exponential backoff + jitter
-// (fault::RetryPolicy), and when a piece stays unfetchable the whole
-// read re-LOOKUPs — picking up any layout the RecoveryManager published
-// while repairing — before trying again. Abandoned GETs are forgotten at
-// the RpcNode, so dropped replies become counted no-ops, not leaks.
+// An SP-Client that speaks only RPC: the one SpClient engine
+// (cluster/client.h) over the RPC implementation of its seam — a
+// PieceStore fanning out kGetBlockMulti/kGetBlock/kPutBlock to the
+// workers and a LayoutService over the master's kLookupFile/kFileEpoch/
+// kRegisterFile/kReportAccess/kPutStable. Every GET carries a bounded
+// wait and is forgotten at the RpcNode on timeout, so dropped replies
+// become counted no-ops, not leaks.
 //
 // Metadata-light path (all on by default; ClientCacheConfig turns the
 // pieces off for baselines):
-//   * layout cache — pass 1 serves the layout from the client's epoch-
-//     validated LayoutCache; the master sees no LOOKUP. Cache-served
-//     accesses accumulate locally and flush as one kReportAccess batch.
-//   * multi-GET coalescing — pieces that live on the same worker travel
-//     in one kGetBlockMulti envelope instead of one kGetBlock each; a
-//     kWrongEpoch reply invalidates the cached layout and the next pass
-//     re-LOOKUPs.
+//   * layout cache — the engine's epoch-validated LayoutCache; cache-served
+//     accesses flush as one kReportAccess batch;
+//   * multi-GET coalescing — pieces that live on the same worker travel in
+//     one kGetBlockMulti envelope (`coalesce = false`: one kGetBlock each);
+//     a kWrongEpoch reply invalidates the cached layout and the next pass
+//     re-LOOKUPs;
 //   * single-flight — concurrent reads of the same file share one fetch;
-//     followers block on the leader's result and copy its bytes.
+//     followers block on the leader's result and copy its bytes. This gate
+//     is the one piece of read logic that lives here rather than in the
+//     engine.
 class RpcSpClient {
  public:
   // `worker_of_server[i]` maps cache-server index i to its bus NodeId.
@@ -169,18 +167,17 @@ class RpcSpClient {
               std::chrono::milliseconds rpc_timeout = std::chrono::milliseconds(1000),
               ClientCacheConfig cache = ClientCacheConfig{});
 
-  // Flushes pending batched access reports (best effort).
-  ~RpcSpClient();
-
-  // Split into servers.size() near-equal pieces, PUT them (in parallel,
-  // via async calls) stamped with the next layout epoch, then REGISTER
-  // the layout proposing that epoch. Throws on any RPC failure.
+  // Split into servers.size() near-equal pieces, PUT them stamped with the
+  // next layout epoch, REGISTER the layout proposing that epoch, and
+  // checkpoint the file to the master's stable tier. Throws on any PUT or
+  // REGISTER failure.
   void write(FileId id, std::span<const std::uint8_t> data,
-             const std::vector<std::uint32_t>& servers);
+             const std::vector<std::uint32_t>& servers) {
+    engine_.write(id, data, servers);
+  }
 
-  // LOOKUP + parallel GET + reassemble + verify, with the retry/backoff
-  // machinery above. Throws std::runtime_error on unknown file or once
-  // the retry budget is exhausted.
+  // Read through the single-flight gate. Throws std::runtime_error on
+  // unknown file or once the retry budget is exhausted.
   std::vector<std::uint8_t> read(FileId id);
 
   // read() plus the retry telemetry.
@@ -191,70 +188,28 @@ class RpcSpClient {
 
   // Ship pending cache-served access counts to the master now (one
   // kReportAccess envelope). Returns the number of accesses reported.
-  std::uint64_t flush_access_reports();
+  std::uint64_t flush_access_reports() { return engine_.flush_access_reports(); }
 
   // Warm the layout cache for `ids` with a single kLookupBatch envelope
   // (one LOOKUP round-trip instead of ids.size()). Returns how many of
   // the ids the master knew. No-op (returns 0) with the cache disabled.
   std::size_t prefetch_layouts(const std::vector<FileId>& ids);
 
-  const fault::RetryPolicy& retry_policy() const { return retry_; }
-  const LayoutCache& layout_cache() const { return layout_cache_; }
+  const fault::RetryPolicy& retry_policy() const { return engine_.retry_policy(); }
+  const LayoutCache& layout_cache() const { return engine_.layout_cache(); }
   RpcNode& node() { return *node_; }
+  // The engine itself, for IoResult / ReadScratch reads without the
+  // single-flight gate.
+  SpClient& engine() { return engine_; }
 
   // --- Observability (src/obs) ----------------------------------------
-  // Same "client.*" metric names as the in-process SpClient, so a mixed
-  // deployment aggregates into one view: end-to-end read wall latency,
-  // read/retry/failure counters, and (with `trace`) kReadStart/kReadDone/
-  // kReadFailed/kReadRepeatPass plus per-piece kPieceFetch/kPieceRetry
-  // events. Detached (default): one relaxed pointer load + branch.
+  // The engine's "client.*" metrics and trace events (shared names with
+  // the in-process deployment, so a mixed deployment aggregates into one
+  // view), plus client.singleflight_shared for followers.
   void attach_observability(obs::MetricsRegistry* registry,
                             obs::TraceRecorder* trace = nullptr);
 
-  struct ObsProbes {
-    obs::Counter* reads = nullptr;
-    obs::Counter* read_failures = nullptr;
-    obs::Counter* retries = nullptr;
-    obs::Counter* layout_hits = nullptr;
-    obs::Counter* layout_misses = nullptr;
-    obs::Counter* layout_invalidations = nullptr;
-    obs::Counter* singleflight_shared = nullptr;
-    obs::LatencyHistogram* read_wall = nullptr;
-    obs::TraceRecorder* trace = nullptr;
-  };
-
  private:
-  // One bounded-wait GET of piece `i`, including per-piece retries.
-  // Returns the payload or nullopt once the per-piece budget is spent.
-  // `op` is the trace op-id of the enclosing read (0 = tracing detached).
-  std::optional<std::vector<std::uint8_t>> fetch_piece(FileId id, std::uint32_t piece,
-                                                       NodeId worker, std::size_t pass,
-                                                       std::uint64_t op, std::size_t& retries);
-
-  // Layout for pass `pass`: cache on pass 1 (when enabled), kLookupFile
-  // otherwise (write-through to the cache). nullopt = LOOKUP failure, with
-  // `unknown` telling a permanently-unknown file from a transient loss.
-  std::optional<FileMeta> layout_for_pass(FileId id, std::size_t pass, bool& from_cache,
-                                          bool& unknown, std::string& error);
-
-  // Current layout epoch at the master (kFileEpoch; 0 = unknown file).
-  std::uint64_t file_epoch(FileId id);
-
-  // The read itself (all passes); read_with_stats wraps it in the
-  // single-flight gate.
-  RpcReadStats do_read(FileId id);
-
-  // Coalesced GET phase of one pass: per-worker kGetBlockMulti fan-out,
-  // falling back to per-piece fetch_piece for pieces a multi-GET missed.
-  // Returns false (with `error` set) when the pass must be retried;
-  // `wrong_epoch` reports a kWrongEpoch reply (caller invalidates). Every
-  // reassembly copy runs through the fused crc32_copy kernel; on success
-  // `whole_crc` carries the per-piece CRCs combined into crc32(out), so
-  // the caller's end-to-end verification never rescans the bytes.
-  bool multi_get_pass(FileId id, const FileMeta& meta, std::size_t pass, std::uint64_t op,
-                      std::vector<std::uint8_t>& out, std::size_t& retries,
-                      bool& wrong_epoch, std::uint32_t& whole_crc, std::string& error);
-
   // One read in flight per file; followers share the leader's bytes.
   struct Inflight {
     std::promise<std::shared_ptr<const RpcReadStats>> promise;
@@ -262,24 +217,24 @@ class RpcSpClient {
     std::size_t waiters = 0;  // guarded by sf_mu_
   };
 
-  Bus& bus_;
+  RpcReadStats engine_read(FileId id);
+
+  // Declared before engine_: the engine's teardown flush still talks
+  // through this node.
   std::unique_ptr<RpcNode> node_;
   NodeId master_node_;
-  std::vector<NodeId> worker_of_server_;
-  fault::RetryPolicy retry_;
   std::chrono::milliseconds rpc_timeout_;
-  ClientCacheConfig cache_config_;
-  LayoutCache layout_cache_;
-  AccessAccumulator access_acc_;
+  bool single_flight_;
+  SpClient engine_;
   std::mutex sf_mu_;
   std::unordered_map<FileId, std::shared_ptr<Inflight>> inflight_;
-  std::unique_ptr<ObsProbes> probes_storage_;
-  std::atomic<ObsProbes*> probes_{nullptr};
+  std::atomic<obs::Counter*> singleflight_shared_{nullptr};
 };
 
-// An EC-Cache client over the same wire: writes run the real Reed-Solomon
-// encoder and PUT all n shards; reads LOOKUP, late-bind k+1 GETs, and
-// decode from the first k that complete.
+// An EC-Cache client over the same wire: the one EcClient engine over the
+// RPC seam. Writes run the Reed-Solomon encoder and PUT all n shards;
+// reads LOOKUP, late-bind k+1 GETs, and decode from the first k that
+// arrive.
 class RpcEcClient {
  public:
   RpcEcClient(Bus& bus, NodeId node_id, NodeId master_node,
@@ -287,16 +242,16 @@ class RpcEcClient {
 
   // Encode into n shards and store them on the n listed (distinct) servers.
   void write(FileId id, std::span<const std::uint8_t> data,
-             const std::vector<std::uint32_t>& servers);
+             const std::vector<std::uint32_t>& servers) {
+    engine_.write(id, data, servers);
+  }
 
   // Late-binding read + decode + whole-file CRC verification.
-  std::vector<std::uint8_t> read(FileId id, Rng& rng);
+  std::vector<std::uint8_t> read(FileId id, Rng& rng) { return engine_.read(id, rng).bytes; }
 
  private:
-  std::unique_ptr<RpcNode> node_;
-  NodeId master_node_;
-  std::vector<NodeId> worker_of_server_;
-  ReedSolomon rs_;
+  std::unique_ptr<RpcNode> node_;  // before engine_, which talks through it
+  EcClient engine_;
 };
 
 }  // namespace spcache::rpc

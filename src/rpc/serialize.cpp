@@ -60,6 +60,15 @@ std::uint64_t BufferReader::u64() {
   return v;
 }
 
+std::uint32_t BufferReader::count(std::size_t min_element_bytes) {
+  const std::uint32_t n = u32();
+  if (n > remaining() / min_element_bytes) {
+    throw std::runtime_error("BufferReader: element count " + std::to_string(n) + " exceeds the " +
+                             std::to_string(remaining()) + " byte(s) that remain");
+  }
+  return n;
+}
+
 double BufferReader::f64() {
   const std::uint64_t bits = u64();
   double v;

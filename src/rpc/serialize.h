@@ -57,6 +57,10 @@ class BufferReader {
   std::uint32_t u32();
   std::uint64_t u64();
   double f64();
+  // A u32 element count for a list whose elements each encode to at least
+  // `min_element_bytes`. Throws if the count could not fit in what
+  // remains, so a forged count never sizes an allocation.
+  std::uint32_t count(std::size_t min_element_bytes);
   std::vector<std::uint8_t> bytes();
   // Non-copying variant: a view into the underlying frame, valid only
   // while that frame is alive. Lets reassembly copy payloads exactly once,

@@ -1,12 +1,15 @@
 // Degraded reads: per-piece retry with backoff, failover to an inline
-// StableStore restore, and the IoResult degradation telemetry — for both
-// the threaded SpClient and the RPC client.
+// StableStore restore, and the IoResult degradation telemetry. The cases
+// that hold for any deployment run value-parameterised over both seams of
+// the one SpClient engine: in-process, and RPC over InprocTransport.
 #include <gtest/gtest.h>
 
 #include "cluster/client.h"
 #include "cluster/stable_store.h"
 #include "core/sp_cache.h"
 #include "fault/fault_injector.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rpc/cache_service.h"
 
 namespace spcache {
@@ -97,14 +100,6 @@ TEST_F(DegradedReadTest, DegradedReadPaysStableBandwidth) {
   EXPECT_GT(degraded.network_time, healthy.network_time);
 }
 
-TEST_F(DegradedReadTest, WithoutStableStoreThrowsAfterRetries) {
-  populate();
-  SpClient client(cluster_, master_, pool_, nullptr, fast_retry());
-  const auto meta = master_.peek(3);
-  cluster_.server(meta->servers[0]).erase(BlockKey{3, 0});
-  EXPECT_THROW(client.read(3), std::runtime_error);
-}
-
 TEST_F(DegradedReadTest, HealthyReadReportsNoDegradation) {
   populate();
   SpClient client(cluster_, master_, pool_, &stable_, fast_retry());
@@ -113,46 +108,6 @@ TEST_F(DegradedReadTest, HealthyReadReportsNoDegradation) {
   EXPECT_FALSE(result.degraded);
   EXPECT_EQ(result.degraded_pieces, 0u);
   EXPECT_EQ(result.retries, 0u);
-}
-
-TEST_F(DegradedReadTest, InjectedFetchFailuresAreRetriedAway) {
-  populate();
-  fault::FaultConfig cfg;
-  cfg.fetch_fail_p = 0.30;
-  fault::FaultInjector injector(1234, cfg);
-  cluster_.set_fault_injector(&injector);
-
-  SpClient client(cluster_, master_, pool_, &stable_, fast_retry());
-  std::size_t retries = 0;
-  for (FileId f = 0; f < kFiles; ++f) {
-    const auto result = client.read(f);
-    EXPECT_EQ(result.bytes, originals_[f]) << "file " << f;
-    retries += result.retries;
-  }
-  EXPECT_GT(retries, 0u) << "a 30% fetch-failure rate must surface as retries";
-  EXPECT_GT(injector.stats().fetch_failures, 0u);
-  cluster_.set_fault_injector(nullptr);
-}
-
-TEST_F(DegradedReadTest, InjectedCorruptionNeverReachesTheCaller) {
-  populate();
-  fault::FaultConfig cfg;
-  cfg.corrupt_read_p = 0.15;
-  fault::FaultInjector injector(77, cfg);
-  cluster_.set_fault_injector(&injector);
-
-  SpClient client(cluster_, master_, pool_, &stable_, fast_retry());
-  for (int round = 0; round < 4; ++round) {
-    for (FileId f = 0; f < kFiles; ++f) {
-      const auto result = client.read(f);
-      // The whole-file CRC catches every injected flip; the read retries
-      // until it passes verification, so the caller only ever sees
-      // bit-exact data.
-      EXPECT_EQ(result.bytes, originals_[f]) << "file " << f;
-    }
-  }
-  EXPECT_GT(injector.stats().corrupt_reads, 0u) << "the corruption site never fired";
-  cluster_.set_fault_injector(nullptr);
 }
 
 TEST_F(DegradedReadTest, HeterogeneousPieceSizesFailOverCorrectly) {
@@ -224,6 +179,174 @@ TEST_F(DegradedReadTest, CorrelatedFailureDegradesEveryReadWhileRepairConverges)
   }
   for (const std::uint32_t v : victims) cluster_.revive(v);
 }
+
+// The one SpClient engine in either deployment: over the in-process seam
+// (a Cluster + Master), or over RpcSpClient's RPC seam (a MasterService
+// and CacheWorkerServices on an InprocTransport bus). Each case builds its
+// clients through client() and reaches the block stores through server().
+enum class Deployment { kInproc, kRpc };
+
+class EngineReadTest : public ::testing::TestWithParam<Deployment> {
+ protected:
+  static constexpr std::size_t kFiles = 8;
+  static constexpr std::uint32_t kServers = 8;
+  static constexpr Bytes kFileSize = 64 * kKB;
+
+  EngineReadTest() {
+    if (GetParam() != Deployment::kRpc) return;
+    master_service_ = std::make_unique<rpc::MasterService>(bus_);
+    for (std::uint32_t s = 0; s < kServers; ++s) {
+      workers_.push_back(
+          std::make_unique<rpc::CacheWorkerService>(bus_, rpc::kFirstWorkerNode + s, s, gbps(1.0)));
+      worker_nodes_.push_back(workers_.back()->node_id());
+    }
+  }
+
+  // A new client; the in-process one fails over to `stable` (the RPC seam
+  // has no read-side stable tier).
+  SpClient& client(fault::RetryPolicy retry, StableStore* stable) {
+    if (GetParam() == Deployment::kInproc) {
+      inproc_clients_.push_back(
+          std::make_unique<SpClient>(cluster_, master_, pool_, stable, retry));
+      return *inproc_clients_.back();
+    }
+    const auto node = rpc::kFirstClientNode + static_cast<rpc::NodeId>(rpc_clients_.size());
+    rpc_clients_.push_back(std::make_unique<rpc::RpcSpClient>(
+        bus_, node, rpc::kMasterNode, worker_nodes_, retry, std::chrono::milliseconds(1000)));
+    return rpc_clients_.back()->engine();
+  }
+
+  Master& master() {
+    return GetParam() == Deployment::kInproc ? master_ : master_service_->master();
+  }
+  CacheServer& server(std::uint32_t s) {
+    return GetParam() == Deployment::kInproc ? cluster_.server(s) : workers_[s]->store();
+  }
+  void set_fault_injector(fault::FaultInjector* injector) {
+    for (std::uint32_t s = 0; s < kServers; ++s) server(s).set_fault_injector(injector);
+  }
+
+  void populate() {
+    auto catalog = make_uniform_catalog(kFiles, kFileSize, 1.05, 10.0);
+    SpCacheScheme sp;
+    sp.place(catalog, cluster_.bandwidths(), rng_);
+    SpClient& writer = client(fast_retry(), nullptr);
+    originals_.resize(kFiles);
+    for (FileId f = 0; f < kFiles; ++f) {
+      originals_[f] = pattern_bytes(kFileSize, f);
+      writer.write(f, originals_[f], sp.placement(f).servers);
+      stable_.checkpoint(f, originals_[f]);
+    }
+  }
+
+  Cluster cluster_{kServers, gbps(1.0)};
+  Master master_;
+  ThreadPool pool_{4};
+  StableStore stable_;
+  Rng rng_{2026};
+  rpc::Bus bus_;
+  std::unique_ptr<rpc::MasterService> master_service_;
+  std::vector<std::unique_ptr<rpc::CacheWorkerService>> workers_;
+  std::vector<rpc::NodeId> worker_nodes_;
+  std::vector<std::unique_ptr<SpClient>> inproc_clients_;
+  std::vector<std::unique_ptr<rpc::RpcSpClient>> rpc_clients_;
+  std::vector<std::vector<std::uint8_t>> originals_;
+};
+
+std::uint64_t count_kind(const std::vector<obs::TraceEvent>& events, obs::TraceKind kind) {
+  std::uint64_t n = 0;
+  for (const auto& e : events) n += (e.kind == kind) ? 1 : 0;
+  return n;
+}
+
+TEST_P(EngineReadTest, WithoutStableStoreThrowsAfterRetries) {
+  populate();
+  SpClient& reader = client(fast_retry(), nullptr);
+  const auto meta = master().peek(3);
+  server(meta->servers[0]).erase(BlockKey{3, 0});
+  EXPECT_THROW(reader.read(3), std::runtime_error);
+}
+
+TEST_P(EngineReadTest, InjectedFetchFailuresAreRetriedAway) {
+  populate();
+  fault::FaultConfig cfg;
+  cfg.fetch_fail_p = 0.30;
+  fault::FaultInjector injector(1234, cfg);
+  set_fault_injector(&injector);
+
+  SpClient& reader = client(fast_retry(), &stable_);
+  obs::MetricsRegistry registry;
+  obs::TraceRecorder trace;
+  reader.attach_observability(&registry, &trace);
+  std::size_t retries = 0;
+  for (FileId f = 0; f < kFiles; ++f) {
+    const auto result = reader.read(f);
+    EXPECT_EQ(result.bytes, originals_[f]) << "file " << f;
+    retries += result.retries;
+  }
+  EXPECT_GT(retries, 0u) << "a 30% fetch-failure rate must surface as retries";
+  EXPECT_GT(injector.stats().fetch_failures, 0u);
+  // Every retry the IoResults counted has its trace event.
+  const auto events = trace.snapshot();
+  EXPECT_EQ(count_kind(events, obs::TraceKind::kPieceRetry) +
+                count_kind(events, obs::TraceKind::kReadRepeatPass),
+            retries);
+  set_fault_injector(nullptr);
+}
+
+TEST_P(EngineReadTest, InjectedCorruptionNeverReachesTheCaller) {
+  populate();
+  fault::FaultConfig cfg;
+  cfg.corrupt_read_p = 0.15;
+  fault::FaultInjector injector(77, cfg);
+  set_fault_injector(&injector);
+
+  SpClient& reader = client(fast_retry(), &stable_);
+  for (int round = 0; round < 4; ++round) {
+    for (FileId f = 0; f < kFiles; ++f) {
+      const auto result = reader.read(f);
+      // The whole-file CRC catches every injected flip; the read retries
+      // until it passes verification, so the caller only ever sees
+      // bit-exact data.
+      EXPECT_EQ(result.bytes, originals_[f]) << "file " << f;
+    }
+  }
+  EXPECT_GT(injector.stats().corrupt_reads, 0u) << "the corruption site never fired";
+  set_fault_injector(nullptr);
+}
+
+TEST_P(EngineReadTest, StaleLayoutConvergesAfterReplacement) {
+  SpClient& reader = client(fast_retry(), nullptr);
+  SpClient& writer = client(fast_retry(), nullptr);
+  const auto data = pattern_bytes(48 * kKB, 24);
+  writer.write(5, data, {0, 1});
+
+  // Warm the reader's cache with the {0,1} layout.
+  EXPECT_EQ(reader.read(5).bytes, data);
+  ASSERT_TRUE(reader.layout_cache().contains(5));
+
+  // A repartition moves the file to {4,5} and erases the old pieces —
+  // exactly what execute_parallel_repartition / a repair does.
+  writer.write(5, data, {4, 5});
+  server(0).erase(BlockKey{5, 0});
+  server(1).erase(BlockKey{5, 1});
+
+  // The reader's cached layout is now a dangling pointer: pass 1 fails on
+  // the missing pieces, invalidates, and pass 2's fresh LOOKUP converges.
+  const auto result = reader.read(5);
+  EXPECT_EQ(result.bytes, data);
+  EXPECT_FALSE(result.layout_cached);
+  EXPECT_GE(result.retries, 1u);
+  EXPECT_GE(reader.layout_cache().invalidations(), 1u);
+  // And the refreshed layout serves the next read from cache again.
+  EXPECT_TRUE(reader.read(5).layout_cached);
+}
+
+INSTANTIATE_TEST_SUITE_P(Deployments, EngineReadTest,
+                         ::testing::Values(Deployment::kInproc, Deployment::kRpc),
+                         [](const ::testing::TestParamInfo<Deployment>& info) {
+                           return info.param == Deployment::kInproc ? "Inproc" : "Rpc";
+                         });
 
 TEST(RpcDegradedRead, RetriesRideThroughInjectedBusFaults) {
   rpc::Bus bus;

@@ -1,8 +1,9 @@
 // Metadata-light read path, in-process side: LayoutCache epoch rules,
-// AccessAccumulator batching, cache-served SpClient reads, and stale-layout
-// convergence when a repartition/repair erases the pieces a cached layout
-// points at — including concurrent readers racing the re-placement (the
-// TSan target for this subsystem).
+// AccessAccumulator batching, cache-served SpClient reads, and concurrent
+// readers racing a re-placement that erases the pieces a cached layout
+// points at (the TSan target for this subsystem). The single-reader
+// stale-layout case runs over both deployments in
+// test_cluster_degraded_read (EngineReadTest).
 #include "cluster/layout_cache.h"
 
 #include <gtest/gtest.h>
@@ -140,37 +141,6 @@ TEST(ClientLayoutCache, EpochBumpsOnEveryLayoutMutation) {
   EXPECT_GE(e1, 1u);
   client.write(9, data, {2, 3});  // update_file path
   EXPECT_GT(master.file_epoch(9), e1);
-}
-
-TEST(ClientLayoutCache, StaleLayoutConvergesAfterReplacement) {
-  Cluster cluster(8, gbps(1.0));
-  Master master;
-  ThreadPool pool(4);
-  Rng rng(24);
-  SpClient reader(cluster, master, pool, nullptr, hot_retries());
-  SpClient writer(cluster, master, pool, nullptr, hot_retries());
-  const auto data = random_bytes(48 * kKB, rng);
-  writer.write(5, data, {0, 1});
-
-  // Warm the reader's cache with the {0,1} layout.
-  EXPECT_EQ(reader.read(5).bytes, data);
-  ASSERT_TRUE(reader.layout_cache().contains(5));
-
-  // A repartition moves the file to {4,5} and erases the old pieces —
-  // exactly what execute_parallel_repartition / a repair does.
-  writer.write(5, data, {4, 5});
-  cluster.server(0).erase(BlockKey{5, 0});
-  cluster.server(1).erase(BlockKey{5, 1});
-
-  // The reader's cached layout is now a dangling pointer: pass 1 fails on
-  // the missing pieces, invalidates, and pass 2's fresh LOOKUP converges.
-  const auto result = reader.read(5);
-  EXPECT_EQ(result.bytes, data);
-  EXPECT_FALSE(result.layout_cached);
-  EXPECT_GE(result.retries, 1u);
-  EXPECT_GE(reader.layout_cache().invalidations(), 1u);
-  // And the refreshed layout serves the next read from cache again.
-  EXPECT_TRUE(reader.read(5).layout_cached);
 }
 
 TEST(ClientLayoutCache, ConcurrentCachedReadersSurviveReplacementChurn) {

@@ -12,6 +12,10 @@
 // Under ASan/TSan the sanitizer runtime owns the allocator and its
 // interceptors allocate internally, so the strict zero-alloc assertion is
 // relaxed there; the functional roundtrip and the arena invariant still run.
+//
+// The same engine runs over the RPC seam (RpcSpClient over InprocTransport).
+// Envelopes allocate there, so that test pins the scratch invariants
+// instead: no arena spill and a reassembly buffer that never moves.
 #include "cluster/client.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +25,8 @@
 #include <cstdint>
 #include <new>
 #include <vector>
+
+#include "rpc/cache_service.h"
 
 namespace {
 
@@ -172,6 +178,47 @@ TEST(ReadAlloc, ScratchReuseAcrossFilesReusesCapacity) {
     EXPECT_EQ(after - before, 0u)
         << "cycling warmed files through one scratch must not allocate";
   }
+}
+
+TEST(ReadAlloc, RpcScratchReadsReuseArenaAndBuffer) {
+  rpc::Bus bus;  // InprocTransport
+  rpc::MasterService master(bus);
+  std::vector<std::unique_ptr<rpc::CacheWorkerService>> workers;
+  std::vector<rpc::NodeId> worker_nodes;
+  for (std::uint32_t s = 0; s < 4; ++s) {
+    workers.push_back(std::make_unique<rpc::CacheWorkerService>(
+        bus, rpc::kFirstWorkerNode + s, s, gbps(1.0)));
+    worker_nodes.push_back(workers.back()->node_id());
+  }
+  ClientCacheConfig cache;
+  cache.report_flush_threshold = std::size_t{1} << 30;
+  rpc::RpcSpClient client(bus, rpc::kFirstClientNode, rpc::kMasterNode, worker_nodes,
+                          fault::RetryPolicy{}, std::chrono::milliseconds(1000), cache);
+
+  const auto data = pattern_bytes(256 * kKB + 7);
+  client.write(42, data, {0, 1, 2, 3});
+
+  ReadScratch scratch;
+  for (int i = 0; i < 3; ++i) {
+    const IoResult& r = client.engine().read(42, scratch);
+    ASSERT_EQ(r.bytes, data);
+    ASSERT_TRUE(r.layout_cached);
+  }
+  const std::uint8_t* const buffer = scratch.result.bytes.data();
+  const std::size_t capacity = scratch.result.bytes.capacity();
+
+  constexpr int kReads = 50;
+  bool all_ok = true;
+  bool buffer_stable = true;
+  for (int i = 0; i < kReads; ++i) {
+    const IoResult& r = client.engine().read(42, scratch);
+    all_ok = all_ok && r.bytes == data && r.layout_cached && !r.degraded;
+    buffer_stable = buffer_stable && r.bytes.data() == buffer && r.bytes.capacity() == capacity;
+  }
+  EXPECT_TRUE(all_ok);
+  EXPECT_TRUE(buffer_stable) << "the reassembly buffer moved or regrew during steady state";
+  EXPECT_EQ(scratch.arena.fallback_allocs(), 0u)
+      << "a read spilled past its 16 KiB arena to the heap";
 }
 
 }  // namespace

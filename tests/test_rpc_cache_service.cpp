@@ -16,6 +16,22 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, Rng& rng) {
   return v;
 }
 
+// Sends `forged` and expects the typed kError reply naming the bad count,
+// then proves the node still serves: a kPing right after must echo its
+// token.
+void expect_rejected_then_served(RpcNode& caller, NodeId to, MethodId method,
+                                 std::vector<std::uint8_t> forged) {
+  const Reply reply = caller.call_sync(to, method, std::move(forged));
+  EXPECT_EQ(reply.status, Status::kError) << reply.error_text();
+  EXPECT_NE(reply.error_text().find("element count"), std::string::npos) << reply.error_text();
+  BufferWriter ping;
+  ping.u64(7);
+  const Reply next = caller.call_sync(to, kPing, ping.take());
+  ASSERT_TRUE(next.ok()) << next.error_text();
+  BufferReader r(next.payload);
+  EXPECT_EQ(r.u64(), 7u);
+}
+
 class RpcClusterTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kWorkers = 8;
@@ -162,6 +178,50 @@ TEST_F(RpcClusterTest, SpCachePlacementOverRpc) {
     client_->write(f, originals[f], sp.placement(f).servers);
   }
   for (FileId f = 0; f < 20; ++f) EXPECT_EQ(client_->read(f), originals[f]);
+}
+
+// Forged envelopes: each decoder that sizes a list from a wire-supplied
+// count must reject a count the payload cannot hold before allocating for
+// it (a kGetBlockMulti count of 2^32-1 once sized a 16 GiB arena spill).
+// They go through the real RpcNode dispatch over InprocTransport.
+class ForgedCountTest : public RpcClusterTest {
+ protected:
+  ForgedCountTest() { forger_.start(); }
+  RpcNode forger_{bus_, kFirstClientNode + 60, "forger"};
+};
+
+TEST_F(ForgedCountTest, LayoutPieceCountIsBounded) {
+  BufferWriter w;
+  w.u32(70);           // file
+  w.u64(1024);         // size
+  w.u32(0);            // crc
+  w.u64(1);            // epoch
+  w.u32(0xFFFFFFFFu);  // piece count, with no pieces behind it
+  expect_rejected_then_served(forger_, kMasterNode, kRegisterFile, w.take());
+}
+
+TEST_F(ForgedCountTest, MultiGetPieceCountIsBounded) {
+  BufferWriter w;
+  w.u32(71);           // file
+  w.u64(1);            // epoch
+  w.u32(0xFFFFFFFFu);  // piece count
+  w.u32(0);            // one piece index
+  expect_rejected_then_served(forger_, worker_nodes_[0], kGetBlockMulti, w.take());
+}
+
+TEST_F(ForgedCountTest, ReportAccessCountIsBounded) {
+  BufferWriter w;
+  w.u32(0xFFFFFFFFu);  // (file, delta) pair count
+  w.u32(72);
+  w.u64(1);
+  expect_rejected_then_served(forger_, kMasterNode, kReportAccess, w.take());
+}
+
+TEST_F(ForgedCountTest, LookupBatchCountIsBounded) {
+  BufferWriter w;
+  w.u32(0xFFFFFFFFu);  // file id count
+  w.u32(73);
+  expect_rejected_then_served(forger_, kMasterNode, kLookupBatch, w.take());
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus a ThreadSanitizer pass over the concurrent
-# substrate.
+# Tier-1 verification, an Address+UBSan pass over the RPC wire code, and a
+# ThreadSanitizer pass over the concurrent substrate.
 #
-#   tools/check.sh          # release build + full ctest, then TSan suite
+#   tools/check.sh          # release build + full ctest, stage gates,
+#                           # ASan+UBSan RPC suite, then TSan suite
 #   tools/check.sh --quick  # TSan pass only on the concurrency-heavy tests
 #
-# The TSan tree lives in build-tsan/ (the `tsan` preset in
-# CMakePresets.json); the release tree in build/ (the `default` preset).
-# An Address+UBSan tree is available via `cmake --preset asan` (build-asan/)
-# for memory-error hunts; it is not part of this script's default run.
+# The release tree lives in build/ (the `default` preset in
+# CMakePresets.json), the Address+UBSan tree in build-asan/ (`asan`), the
+# TSan tree in build-tsan/ (`tsan`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -239,6 +239,14 @@ if [[ "$QUICK" -eq 0 ]]; then
   grep -qE 'batched_frames_per_writev=([2-9]|1[0-9.]+[0-9])' "$TCP_SCALE_LOG"
   grep -q 'result=PASS' "$TCP_SCALE_LOG"
   rm -f "$TCP_SCALE_LOG"
+
+  echo "==> asan: Address+UBSan over the RPC suite (decoders, framing, serialize)"
+  # Every decoder that touches wire bytes — the cache/master handlers with
+  # their forged-count tests, frame and serialize parsing, the TCP
+  # transport — runs under Address+UBSan on every full check.
+  cmake --preset asan
+  cmake --build --preset asan -j "$(nproc)"
+  ctest --preset asan -R 'test_rpc_'
 fi
 
 echo "==> ThreadSanitizer: configure + build"
