@@ -234,14 +234,13 @@ class ShardedReader {
 };
 
 // This PR's steady-state read: fused copy+CRC per piece, whole-file CRC by
-// combination, reassembly buffer + combiner reused across reads (one
+// combination, reassembly buffer reused across reads (one
 // Scratch per bench thread — zero heap allocations once warmed).
 class FusedReader {
  public:
   struct Scratch {
     std::vector<std::uint8_t> out;
     std::array<std::uint32_t, kPieces> piece_crcs{};
-    Crc32Combiner combiner;
   };
 
   FusedReader(Cluster& cluster, Master& master) : cluster_(cluster), master_(master) {}
@@ -262,7 +261,7 @@ class FusedReader {
     }
     std::uint32_t whole = s.piece_crcs[0];
     for (std::size_t i = 1; i < meta->partitions(); ++i) {
-      whole = s.combiner.combine(whole, s.piece_crcs[i], meta->piece_sizes[i]);
+      whole = crc32_combine(whole, s.piece_crcs[i], meta->piece_sizes[i]);
     }
     if (whole != meta->file_crc) throw std::runtime_error("fused: file corrupt");
     return s.out;

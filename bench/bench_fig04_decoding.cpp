@@ -67,6 +67,7 @@ int main() {
   std::cout << "\nPaper shape: overhead grows with file size and stays >= ~0.15 for\n"
                "files of 100 MB and larger on a 1 Gbps network.\n"
                "(Absolute values depend on codec throughput; the paper used ISA-L on\n"
-               "8-core servers, we run a portable table-based codec — see DESIGN.md.)\n";
+               "8-core servers, we run our own codec, which rebuilds only the lost\n"
+               "data rows — see DESIGN.md and EXPERIMENTS.md.)\n";
   return 0;
 }

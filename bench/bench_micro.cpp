@@ -116,7 +116,8 @@ void BM_KernelGf256MulAdd(benchmark::State& state) {
 BENCHMARK(BM_KernelGf256MulAdd)
     ->Args({1024 * 1024, 0})
     ->Args({1024 * 1024, 1})
-    ->Args({1024 * 1024, 2});
+    ->Args({1024 * 1024, 2})
+    ->Args({1024 * 1024, 3});
 
 void BM_KernelCrc32(benchmark::State& state) {
   simd::Level level;
@@ -133,7 +134,8 @@ void BM_KernelCrc32(benchmark::State& state) {
 BENCHMARK(BM_KernelCrc32)
     ->Args({1024 * 1024, 0})
     ->Args({1024 * 1024, 1})
-    ->Args({1024 * 1024, 2});
+    ->Args({1024 * 1024, 2})
+    ->Args({1024 * 1024, 3});
 
 // Fused copy+CRC against the naive memcpy-then-rescan it replaced on the
 // put/reassembly paths; range(1): 0 = fused kernel, 1 = two-pass baseline.
@@ -240,9 +242,10 @@ double best_encode_seconds(const ReedSolomon& rs, std::span<const std::uint8_t> 
   return best;
 }
 
-// RS(8,11) encode throughput per SIMD level on one core, with outputs
-// memcmp'd against the scalar tier. Gates (when AVX2 is available):
-// AVX2 >= 4 GB/s absolute and >= 2x the scalar tier. Returns exit status.
+// RS(8,11) encode throughput per SIMD level (scalar through avx512) on one
+// core, with outputs memcmp'd against the scalar tier. Gates (when AVX2 is
+// available): AVX2 >= 4 GB/s absolute and >= 2x the scalar tier. Returns
+// exit status.
 int run_smoke() {
   constexpr std::size_t kK = 8, kN = 11;
   constexpr std::size_t kDataBytes = 32 * 1024 * 1024;
@@ -257,13 +260,14 @@ int run_smoke() {
   const std::span<const std::span<std::uint8_t>> shards(shard_spans);
 
   const auto restore = simd::detected_level();
-  double gbps_by_level[3] = {0.0, 0.0, 0.0};
+  double gbps_by_level[4] = {0.0, 0.0, 0.0, 0.0};
   std::vector<std::vector<std::uint8_t>> scalar_ref;
   bool identical = true;
 
   std::printf("smoke: rs(%zu,%zu) encode, %zu MiB, single core\n", kK, kN,
               kDataBytes / (1024 * 1024));
-  for (const auto level : {simd::Level::kScalar, simd::Level::kSsse3, simd::Level::kAvx2}) {
+  for (const auto level : {simd::Level::kScalar, simd::Level::kSsse3, simd::Level::kAvx2,
+                           simd::Level::kAvx512}) {
     if (!simd::level_supported(level)) {
       std::printf("  %-6s: not supported on this host\n", simd::level_name(level));
       continue;

@@ -354,15 +354,15 @@ bool SpClient::read_pass(FileId id, std::size_t pass, std::uint64_t op,
   }
 
   // Whole-file verification. Clean pass: stitch the per-piece CRCs from
-  // the fused copies into crc32(result.bytes) via the combiner — O(k·32)
-  // xors, the reassembled buffer is never rescanned. Degraded pass: some
-  // ranges came from the stable restore (no fused CRC), so fall back to
-  // one full pass.
+  // the fused copies into crc32(result.bytes) with crc32_combine, O(log n)
+  // carry-less multiplies per piece; the reassembled buffer is never
+  // rescanned. Degraded pass: some ranges came from the stable restore (no
+  // fused CRC), so fall back to one full pass.
   std::uint32_t whole_crc = 0;
   if (n_pending == 0 && k > 0) {
     whole_crc = piece_crcs[0];
     for (std::size_t i = 1; i < k; ++i) {
-      whole_crc = scratch.combiner.combine(whole_crc, piece_crcs[i], meta.piece_sizes[i]);
+      whole_crc = crc32_combine(whole_crc, piece_crcs[i], meta.piece_sizes[i]);
     }
   } else {
     whole_crc = crc32(result.bytes);
@@ -587,12 +587,14 @@ IoResult EcClient::read(FileId id, Rng& rng) {
   if (views.size() < k) throw std::runtime_error("EcClient::read: not enough shards survived");
 
   // Zero-copy decode: the decoder reads the fetched bytes through the
-  // non-owning views while the sink's owners keep them alive.
+  // non-owning views while the sink's owners keep them alive, and returns
+  // the whole-file CRC stitched from its rows, so the output is never
+  // rescanned.
   const auto decode_start = std::chrono::steady_clock::now();
   IoResult result;
   result.bytes.resize(meta.size);
   RsScratch scratch;
-  rs_.decode_into(views, meta.size, result.bytes, scratch);
+  const std::uint32_t crc = rs_.decode_into(views, meta.size, result.bytes, scratch);
   result.compute_time = elapsed_seconds(decode_start);
   if (auto* probes = probes_.load(std::memory_order_acquire)) {
     probes->decode_bytes->add(meta.size);
@@ -601,7 +603,7 @@ IoResult EcClient::read(FileId id, Rng& rng) {
           static_cast<double>(meta.size) / result.compute_time / 1e6));  // x1e3 GB/s
     }
   }
-  if (crc32(result.bytes) != meta.file_crc) {
+  if (crc != meta.file_crc) {
     throw std::runtime_error("EcClient::read: whole-file checksum mismatch");
   }
   result.network_time = store_->read_time(meta, wanted, fetch_count);

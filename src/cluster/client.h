@@ -70,7 +70,7 @@ struct IoResult {
 // Reusable read workspace for SpClient::read(id, scratch) — everything a
 // read needs that would otherwise be heap-allocated per call: the
 // reassembly buffer (result.bytes), the layout copy, the per-pass
-// bookkeeping arrays (arena-backed), and the CRC combine operators. After
+// bookkeeping arrays (arena-backed). After
 // one warming read, an in-process cached-layout read of a same-or-smaller
 // file is allocation-free end to end (asserted by
 // tests/test_cluster_read_alloc; over RPC the envelopes still allocate).
@@ -82,7 +82,6 @@ struct ReadScratch {
   IoResult result;           // result.bytes doubles as the reassembly buffer
   FileMeta meta;             // layout storage (vectors keep their capacity)
   Arena arena{16 * kKB};     // offsets / fetch flags / per-piece CRCs
-  Crc32Combiner combiner;    // stitches piece CRCs into the whole-file CRC
 };
 
 class SpClient {

@@ -1,35 +1,53 @@
 #include "common/crc32.h"
 
+#include <array>
+
 #include "simd/simd.h"
 
 namespace spcache {
 
 namespace {
 
-// Appending one zero *bit* to a reflected CRC state is the linear map
-// state -> (state >> 1) ^ (poly if the low bit was set). Column i of that
-// matrix is the image of the unit vector with bit i set.
-Crc32ShiftOp one_zero_bit_op() {
-  Crc32ShiftOp op;
-  op.mat[0] = 0xEDB88320u;
-  for (int i = 1; i < 32; ++i) op.mat[i] = 1u << (i - 1);
-  return op;
-}
+// Polynomials over GF(2) in the reflected bit order of the CRC: bit 31 is
+// x^0 and the modulus is the IEEE polynomial 0xEDB88320.
+constexpr std::uint32_t kPoly = 0xEDB88320u;
+constexpr std::uint32_t kOne = 1u << 31;  // x^0
 
-std::uint32_t gf2_times(const Crc32ShiftOp& op, std::uint32_t vec) {
-  std::uint32_t sum = 0;
-  for (int i = 0; vec != 0; ++i, vec >>= 1) {
-    if (vec & 1u) sum ^= op.mat[i];
+// a * b mod P (zlib's multmodp). a must be nonzero; every operator built
+// here is a power of x, which P (having an x^0 term) never divides.
+constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t m = kOne;
+  std::uint32_t p = 0;
+  for (;;) {
+    if (a & m) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    m >>= 1;
+    b = (b & 1u) ? (b >> 1) ^ kPoly : b >> 1;
   }
-  return sum;
+  return p;
 }
 
-// out = a ∘ b (apply b, then a). All operators here are powers of the same
-// "append one zero bit" map, so composition commutes.
-Crc32ShiftOp gf2_compose(const Crc32ShiftOp& a, const Crc32ShiftOp& b) {
-  Crc32ShiftOp out;
-  for (int i = 0; i < 32; ++i) out.mat[i] = gf2_times(a, b.mat[i]);
-  return out;
+// kX2n[j] = x^(2^j) mod P.
+constexpr std::array<std::uint32_t, 32> make_x2n_table() {
+  std::array<std::uint32_t, 32> t{};
+  std::uint32_t p = kOne >> 1;  // x^1
+  for (auto& e : t) {
+    e = p;
+    p = multmodp(p, p);
+  }
+  return t;
+}
+constexpr std::array<std::uint32_t, 32> kX2n = make_x2n_table();
+
+// x^(n * 2^k) mod P (zlib's x2nmodp): square-and-multiply over the table.
+std::uint32_t x2nmodp(std::size_t n, unsigned k) {
+  std::uint32_t p = kOne;
+  for (; n != 0; n >>= 1, ++k) {
+    if (n & 1u) p = multmodp(kX2n[k & 31], p);
+  }
+  return p;
 }
 
 }  // namespace
@@ -57,53 +75,16 @@ std::uint32_t crc32_copy(std::span<std::uint8_t> dst,
   return crc32_final(crc32_copy_update(crc32_init(), dst, src));
 }
 
-Crc32ShiftOp crc32_zeros_op(std::size_t len) {
-  Crc32ShiftOp result;
-  result.len = len;
-  for (int i = 0; i < 32; ++i) result.mat[i] = 1u << i;  // identity
-  if (len == 0) return result;
+std::uint32_t crc32_combine_gen(std::size_t len_b) { return x2nmodp(len_b, 3); }
 
-  // power = operator for appending 8 * 2^j zero bits; start at one byte.
-  Crc32ShiftOp power = one_zero_bit_op();       // 1 bit
-  power = gf2_compose(power, power);            // 2 bits
-  power = gf2_compose(power, power);            // 4 bits
-  power = gf2_compose(power, power);            // 8 bits = 1 byte
-  for (std::size_t rem = len;;) {
-    if (rem & 1u) result = gf2_compose(power, result);
-    rem >>= 1;
-    if (rem == 0) break;
-    power = gf2_compose(power, power);
-  }
-  // gf2_compose only fills mat, so the assignments above reset len to 0 —
-  // restore it, or Crc32Combiner's by-length cache never matches and every
-  // combine silently rebuilds the matrix.
-  result.len = len;
-  return result;
-}
-
-std::uint32_t crc32_shift(const Crc32ShiftOp& op, std::uint32_t crc) {
-  return gf2_times(op, crc);
+std::uint32_t crc32_combine_op(std::uint32_t crc_a, std::uint32_t crc_b,
+                               std::uint32_t op) {
+  return multmodp(op, crc_a) ^ crc_b;
 }
 
 std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
                             std::size_t len_b) {
-  if (len_b == 0) return crc_a ^ crc_b;  // crc32 of an empty buffer is 0
-  return crc32_shift(crc32_zeros_op(len_b), crc_a) ^ crc_b;
-}
-
-std::uint32_t Crc32Combiner::combine(std::uint32_t crc_a, std::uint32_t crc_b,
-                                     std::size_t len_b) {
-  if (len_b == 0) return crc_a ^ crc_b;
-  for (std::size_t i = 0; i < kSlots; ++i) {
-    if (valid_[i] && ops_[i].len == len_b) {
-      return crc32_shift(ops_[i], crc_a) ^ crc_b;
-    }
-  }
-  const std::size_t slot = next_;
-  next_ = (next_ + 1) % kSlots;
-  ops_[slot] = crc32_zeros_op(len_b);
-  valid_[slot] = true;
-  return crc32_shift(ops_[slot], crc_a) ^ crc_b;
+  return crc32_combine_op(crc_a, crc_b, crc32_combine_gen(len_b));
 }
 
 }  // namespace spcache

@@ -12,10 +12,10 @@
 //     reads touch each byte once instead of twice.
 //   - crc32_combine: stitch per-piece CRCs into the whole-file CRC without
 //     rescanning the reassembled buffer (pieces are checksummed in parallel
-//     while they are copied, then combined in O(k) instead of O(bytes)).
+//     while they are copied, then combined in O(k log n) bit operations
+//     instead of O(bytes)).
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -42,43 +42,21 @@ std::uint32_t crc32_copy(std::span<std::uint8_t> dst,
                          std::span<const std::uint8_t> src);
 
 // ---------------------------------------------------------------------------
-// CRC combination (GF(2) matrix method, as in zlib's crc32_combine).
+// CRC combination (polynomial method, as in zlib 1.2.12's crc32_combine).
 //
 // If crc_a = crc32(A) and crc_b = crc32(B) (both finalized), then
 // crc32_combine(crc_a, crc_b, B.size()) == crc32(A || B). Appending len_b
-// zero *bytes* to A is a linear operator on the 32-bit CRC; the operator is
-// built once per distinct length (≈64 matrix squarings) and applying it is
-// 32 xors.
-
-struct Crc32ShiftOp {
-  std::array<std::uint32_t, 32> mat;  // column i = operator applied to bit i
-  std::size_t len = 0;                // zero-byte count this operator appends
-};
-
-// Builds the operator for appending `len` zero bytes.
-Crc32ShiftOp crc32_zeros_op(std::size_t len);
-
-// Applies a prebuilt operator to a finalized CRC.
-std::uint32_t crc32_shift(const Crc32ShiftOp& op, std::uint32_t crc);
-
-// One-off combine (builds the operator internally; prefer Crc32Combiner on
-// hot paths where lengths repeat).
+// zero bytes to A multiplies its CRC by x^(8 * len_b) modulo the CRC
+// polynomial; that power is assembled from a static table of x^(2^j) in
+// O(log len_b) carry-less multiplies, with no per-length cache.
 std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
                             std::size_t len_b);
 
-// Caches shift operators by length in a small fixed-capacity ring, so
-// steady-state combining (pieces of a file share at most two distinct
-// lengths) never allocates and never rebuilds the matrix.
-class Crc32Combiner {
- public:
-  std::uint32_t combine(std::uint32_t crc_a, std::uint32_t crc_b,
-                        std::size_t len_b);
-
- private:
-  static constexpr std::size_t kSlots = 8;
-  std::array<Crc32ShiftOp, kSlots> ops_{};
-  std::array<bool, kSlots> valid_{};
-  std::size_t next_ = 0;  // round-robin eviction
-};
+// Split form for stitching many pieces of one length: gen computes the
+// x^(8 * len_b) operator once, op applies it (one carry-less multiply).
+// crc32_combine(a, b, n) == crc32_combine_op(a, b, crc32_combine_gen(n)).
+std::uint32_t crc32_combine_gen(std::size_t len_b);
+std::uint32_t crc32_combine_op(std::uint32_t crc_a, std::uint32_t crc_b,
+                               std::uint32_t op);
 
 }  // namespace spcache

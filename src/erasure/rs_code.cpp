@@ -1,11 +1,12 @@
 #include "erasure/rs_code.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
 
-#include "erasure/gf256.h"
+#include "common/crc32.h"
 #include "simd/simd.h"
 
 namespace spcache {
@@ -20,17 +21,28 @@ namespace {
 // sources plus n-k parities — resident across the whole accumulation:
 // every data byte is read from memory once and every parity byte written
 // back once per encode. 32 KiB keeps the working set L2-resident for
-// typical (k, n) and measured fastest on the smoke gate's RS(8,11).
+// typical (k, n) and measured fastest on the smoke gate's RS(8,11). The
+// decoder blocks its rebuilt rows the same way.
 constexpr std::size_t kParityBlock = 32 * 1024;
 
-// Accumulate this chunk of every parity shard from sources [0, k).
-// Source 0 overwrites (parity buffers may be uninitialized); the rest
-// accumulate pairwise through the fused two-source kernel, so each parity
-// chunk is read-modify-written ceil((k-1)/2) times instead of k-1.
+// Compute this chunk of every parity shard from sources [0, k); parity
+// buffers may be uninitialized. With GFNI each parity row is one dot
+// product summed in registers, so the chunk is written once and never read.
+// The PSHUFB tiers measured faster accumulating in place instead: source 0
+// overwrites, the rest go pairwise through the fused two-source kernel, so
+// each (L1-resident) parity chunk is read-modify-written ceil((k-1)/2) times.
 template <typename SrcAt>
 void parity_chunk(const simd::Kernels& kr, const GfMatrix& gen, std::size_t k,
                   std::size_t m, std::size_t off, std::size_t chunk,
                   std::span<const std::span<std::uint8_t>> parity, SrcAt src_at) {
+  if (kr.level == simd::Level::kAvx512) {
+    std::array<const std::uint8_t*, 256> srcs;
+    for (std::size_t j = 0; j < k; ++j) srcs[j] = src_at(j) + off;
+    for (std::size_t p = 0; p < m; ++p) {
+      kr.gf256_dot(parity[p].data() + off, srcs.data(), gen.row(k + p), k, chunk);
+    }
+    return;
+  }
   for (std::size_t p = 0; p < m; ++p) {
     std::uint8_t* dst = parity[p].data() + off;
     kr.gf256_mul(dst, src_at(0) + off, chunk, gen.at(k + p, 0));
@@ -143,10 +155,10 @@ std::vector<Shard> ReedSolomon::encode_parity(
   return parity;
 }
 
-void ReedSolomon::decode_into(std::span<const ShardView> shards,
-                              std::size_t original_size,
-                              std::span<std::uint8_t> out,
-                              RsScratch& scratch) const {
+std::uint32_t ReedSolomon::decode_into(std::span<const ShardView> shards,
+                                       std::size_t original_size,
+                                       std::span<std::uint8_t> out,
+                                       RsScratch& scratch) const {
   if (out.size() != original_size) {
     throw std::invalid_argument("decode_into: output span must be original_size bytes");
   }
@@ -175,51 +187,74 @@ void ReedSolomon::decode_into(std::span<const ShardView> shards,
   }
   if (chosen.size() < k_) throw std::invalid_argument("decode: need k distinct shards");
 
-  const bool all_data = std::all_of(chosen.begin(), chosen.end(),
-                                    [this](const ShardView* s) { return s->index < k_; });
-  if (all_data) {
-    // Systematic fast path: copy each data shard's live prefix into place.
-    for (const ShardView* s : chosen) {
-      const std::size_t offset = s->index * len;
-      if (offset >= original_size) continue;
-      const std::size_t want = std::min(len, original_size - offset);
-      std::memcpy(out.data() + offset, s->bytes.data(), want);
-    }
-    return;
+  // Output row j is data shard j's live prefix. Rows wholly inside the
+  // stripped padding are skipped; the last live row may be truncated.
+  // A row whose data shard was chosen is copied; only the others (`lost`)
+  // are rebuilt, from the inverse of the chosen rows of the generator.
+  const std::size_t live_rows = len == 0 ? 0 : (original_size + len - 1) / len;
+  auto& have = scratch.have;
+  have.assign(live_rows, nullptr);
+  for (const ShardView* s : chosen) {
+    if (s->index < live_rows) have[s->index] = s->bytes.data();
+  }
+  auto& lost = scratch.lost;
+  lost.clear();
+  for (std::size_t j = 0; j < live_rows; ++j) {
+    if (have[j] == nullptr) lost.push_back(j);
+  }
+  if (!lost.empty()) {
+    auto& rows = scratch.rows;
+    rows.clear();
+    for (const ShardView* s : chosen) rows.push_back(s->index);
+    generator_.select_rows_into(rows, scratch.sub);
+    const bool ok = scratch.sub.invert_into(scratch.inv, scratch.work);
+    assert(ok && "Cauchy construction guarantees invertibility");
+    if (!ok) throw std::invalid_argument("decode: singular submatrix");
   }
 
-  // Invert the k x k submatrix of the generator given by the chosen rows.
-  auto& rows = scratch.rows;
-  rows.clear();
-  for (const ShardView* s : chosen) rows.push_back(s->index);
-  generator_.select_rows_into(rows, scratch.sub);
-  const bool ok = scratch.sub.invert_into(scratch.inv, scratch.work);
-  assert(ok && "Cauchy construction guarantees invertibility");
-  if (!ok) throw std::invalid_argument("decode: singular submatrix");
-
-  // data_j = sum_i inv[j][i] * chosen_i, written straight into the output
-  // where the shard lands wholly inside it; the truncated tail shard goes
-  // through the staging buffer, and shards entirely inside the stripped
-  // padding are skipped outright.
-  for (std::size_t j = 0; j < k_; ++j) {
-    const std::size_t offset = j * len;
-    if (offset >= original_size) break;
-    const std::size_t want = std::min(len, original_size - offset);
-    std::span<std::uint8_t> dst;
-    if (want == len) {
-      dst = out.subspan(offset, len);
-    } else {
-      scratch.stage.resize(len);
-      dst = scratch.stage;
+  // Blocked like the encoder: per chunk, copy the held rows (crc32_copy
+  // pulls their chunk into cache, where the dot products below re-read
+  // it), then compute every lost row's chunk with one gf256_dot each and
+  // advance its CRC while the chunk is still hot.
+  const auto& kr = simd::kernels();
+  auto& row_crc = scratch.row_crc;
+  row_crc.assign(live_rows, crc32_init());
+  const auto row_live = [&](std::size_t j) { return std::min(len, original_size - j * len); };
+  std::array<const std::uint8_t*, 256> srcs;
+  for (std::size_t off = 0; off < len; off += kParityBlock) {
+    const std::size_t chunk = std::min(kParityBlock, len - off);
+    const auto live_in_chunk = [&](std::size_t j) {
+      const std::size_t live = row_live(j);
+      return off < live ? std::min(chunk, live - off) : std::size_t{0};
+    };
+    for (std::size_t j = 0; j < live_rows; ++j) {
+      const std::size_t count = live_in_chunk(j);
+      if (have[j] == nullptr || count == 0) continue;
+      row_crc[j] = crc32_copy_update(row_crc[j], out.subspan(j * len + off, count),
+                                     std::span(have[j] + off, count));
     }
-    gf256::mul_slice(dst, chosen[0]->bytes, scratch.inv.at(j, 0));
-    for (std::size_t i = 1; i < k_; ++i) {
-      gf256::mul_add_slice(dst, chosen[i]->bytes, scratch.inv.at(j, i));
-    }
-    if (want != len) {
-      std::memcpy(out.data() + offset, scratch.stage.data(), want);
+    if (lost.empty()) continue;
+    for (std::size_t i = 0; i < k_; ++i) srcs[i] = chosen[i]->bytes.data() + off;
+    for (const std::size_t j : lost) {
+      const std::size_t count = live_in_chunk(j);
+      if (count == 0) continue;
+      std::uint8_t* dst = out.data() + j * len + off;
+      kr.gf256_dot(dst, srcs.data(), scratch.inv.row(j), k_, count);
+      row_crc[j] = crc32_update(row_crc[j], std::span<const std::uint8_t>(dst, count));
     }
   }
+
+  // Stitch the row CRCs into crc32(out); every row but the last is `len`
+  // bytes long, so one combine operator serves them all.
+  if (live_rows == 0) return crc32({});
+  const std::uint32_t step = crc32_combine_gen(len);
+  std::uint32_t whole = crc32_final(row_crc[0]);
+  for (std::size_t j = 1; j < live_rows; ++j) {
+    const std::uint32_t crc = crc32_final(row_crc[j]);
+    const std::size_t live = row_live(j);
+    whole = live == len ? crc32_combine_op(whole, crc, step) : crc32_combine(whole, crc, live);
+  }
+  return whole;
 }
 
 std::vector<std::uint8_t> ReedSolomon::decode(const std::vector<Shard>& shards,

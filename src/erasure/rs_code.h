@@ -37,10 +37,12 @@ struct ShardView {
 // scratch makes repeated decodes of same-shaped files allocation-free.
 struct RsScratch {
   GfMatrix sub, inv, work;
-  std::vector<std::size_t> rows;
+  std::vector<std::size_t> rows;            // generator rows of the chosen shards
+  std::vector<std::size_t> lost;            // live data rows to rebuild
   std::vector<const ShardView*> chosen;
+  std::vector<const std::uint8_t*> have;    // chosen data shard per live row, or null
   std::vector<std::uint8_t> seen;
-  std::vector<std::uint8_t> stage;  // staging for the truncated tail shard
+  std::vector<std::uint32_t> row_crc;       // running CRC state per live row
 };
 
 class ReedSolomon {
@@ -89,10 +91,12 @@ class ReedSolomon {
 
   // Span-based decode: reconstructs into `out` (exactly original_size
   // bytes) from non-owning shard views, reusing `scratch` for the inverted
-  // submatrix and tail staging. Shards whose bytes land entirely in the
-  // stripped padding are never computed. Same validation/throws as decode().
-  void decode_into(std::span<const ShardView> shards, std::size_t original_size,
-                   std::span<std::uint8_t> out, RsScratch& scratch) const;
+  // submatrix and bookkeeping, and returns crc32(out) without rescanning
+  // it. A chosen data shard's live prefix is copied through crc32_copy;
+  // only the data rows with no chosen shard are computed, and rows wholly
+  // in the stripped padding are skipped. Same validation/throws as decode().
+  std::uint32_t decode_into(std::span<const ShardView> shards, std::size_t original_size,
+                            std::span<std::uint8_t> out, RsScratch& scratch) const;
 
   const GfMatrix& generator() const { return generator_; }
 

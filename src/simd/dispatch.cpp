@@ -11,7 +11,7 @@ namespace spcache::simd {
 namespace {
 
 struct Registry {
-  Kernels tables[3];
+  Kernels tables[4];
   Level detected = Level::kScalar;
 
   Registry() {
@@ -20,15 +20,21 @@ struct Registry {
         &detail::gf256_mul_scalar,
         &detail::gf256_mul_add_scalar,
         &detail::gf256_mul_add2_scalar,
+        &detail::gf256_dot_scalar,
         &detail::crc32_update_scalar,
         &detail::crc32_copy_update_scalar,
     };
     tables[0] = scalar;
     tables[1] = scalar;
     tables[2] = scalar;
+    tables[3] = scalar;
 #if defined(SPCACHE_SIMD_X86)
     const bool has_ssse3 = __builtin_cpu_supports("ssse3");
     const bool has_avx2 = __builtin_cpu_supports("avx2");
+    // VGF2P8MULB on zmm registers, with AVX512BW byte masks for the tails.
+    const bool has_avx512 = __builtin_cpu_supports("avx512f") &&
+                            __builtin_cpu_supports("avx512bw") &&
+                            __builtin_cpu_supports("gfni");
     // PCLMUL folding needs SSE4.1 for the final extract; it rides along at
     // the ssse3 tier and above (SPCACHE_SIMD=scalar forces the table CRC).
     const bool has_pclmul =
@@ -38,6 +44,7 @@ struct Registry {
       tables[1].gf256_mul = &detail::gf256_mul_ssse3;
       tables[1].gf256_mul_add = &detail::gf256_mul_add_ssse3;
       tables[1].gf256_mul_add2 = &detail::gf256_mul_add2_ssse3;
+      tables[1].gf256_dot = &detail::gf256_dot_ssse3;
       if (has_pclmul) {
         tables[1].crc32_update = &detail::crc32_update_pclmul;
         tables[1].crc32_copy_update = &detail::crc32_copy_update_pclmul;
@@ -50,9 +57,18 @@ struct Registry {
       tables[2].gf256_mul = &detail::gf256_mul_avx2;
       tables[2].gf256_mul_add = &detail::gf256_mul_add_avx2;
       tables[2].gf256_mul_add2 = &detail::gf256_mul_add2_avx2;
+      tables[2].gf256_dot = &detail::gf256_dot_avx2;
       detected = Level::kAvx2;
     } else {
       tables[2] = tables[1];
+    }
+    tables[3] = tables[2];
+    if (detected == Level::kAvx2 && has_avx512) {
+      tables[3].level = Level::kAvx512;
+      tables[3].gf256_mul = &detail::gf256_mul_avx512;
+      tables[3].gf256_mul_add = &detail::gf256_mul_add_avx512;
+      tables[3].gf256_dot = &detail::gf256_dot_avx512;
+      detected = Level::kAvx512;
     }
 #endif
   }
@@ -76,6 +92,7 @@ Level env_level() {
   if (v == "scalar") return Level::kScalar;
   if (v == "ssse3") return clamp_to_detected(Level::kSsse3);
   if (v == "avx2") return clamp_to_detected(Level::kAvx2);
+  if (v == "avx512") return clamp_to_detected(Level::kAvx512);
   return det;  // unknown value: keep the detected level
 }
 
@@ -92,6 +109,7 @@ const char* level_name(Level level) {
     case Level::kScalar: return "scalar";
     case Level::kSsse3: return "ssse3";
     case Level::kAvx2: return "avx2";
+    case Level::kAvx512: return "avx512";
   }
   return "unknown";
 }

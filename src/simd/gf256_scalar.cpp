@@ -74,4 +74,25 @@ void gf256_mul_add2_scalar(std::uint8_t* dst, const std::uint8_t* src0, std::uin
   for (std::size_t i = 0; i < n; ++i) dst[i] ^= r0[src0[i]] ^ r1[src1[i]];
 }
 
+void gf256_dot_scalar(std::uint8_t* dst, const std::uint8_t* const* src,
+                      const std::uint8_t* c, std::size_t k, std::size_t n) {
+  if (k == 0) {
+    if (n > 0) std::memset(dst, 0, n);
+    return;
+  }
+  gf256_mul_scalar(dst, src[0], n, c[0]);
+  for (std::size_t j = 1; j < k; ++j) gf256_mul_add_scalar(dst, src[j], n, c[j]);
+}
+
+void gf256_dot_tail_scalar(std::uint8_t* dst, const std::uint8_t* const* src,
+                           const std::uint8_t* c, std::size_t k, std::size_t from,
+                           std::size_t n) {
+  const auto& t = gf256_tables();
+  for (std::size_t i = from; i < n; ++i) {
+    std::uint8_t acc = 0;
+    for (std::size_t j = 0; j < k; ++j) acc ^= t.mul[c[j]][src[j][i]];
+    dst[i] = acc;
+  }
+}
+
 }  // namespace spcache::simd::detail

@@ -17,8 +17,7 @@ struct NibTables {
   __m128i mask;
 };
 
-inline NibTables load_tables(std::uint8_t c) {
-  const auto& t = gf256_tables();
+inline NibTables load_tables(const Gf256Tables& t, std::uint8_t c) {
   return NibTables{
       _mm_load_si128(reinterpret_cast<const __m128i*>(t.nib_lo[c])),
       _mm_load_si128(reinterpret_cast<const __m128i*>(t.nib_hi[c])),
@@ -40,7 +39,7 @@ void gf256_mul_ssse3(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
     gf256_mul_scalar(dst, src, n, c);
     return;
   }
-  const NibTables nt = load_tables(c);
+  const NibTables nt = load_tables(gf256_tables(), c);
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
@@ -56,7 +55,7 @@ void gf256_mul_add_ssse3(std::uint8_t* dst, const std::uint8_t* src, std::size_t
     gf256_mul_add_scalar(dst, src, n, c);
     return;
   }
-  const NibTables nt = load_tables(c);
+  const NibTables nt = load_tables(gf256_tables(), c);
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
@@ -75,8 +74,8 @@ void gf256_mul_add2_ssse3(std::uint8_t* dst, const std::uint8_t* src0, std::uint
   }
   // The nibble tables are exact for every coefficient (all-zero row for
   // c == 0, identity for c == 1), so both terms always fuse.
-  const NibTables nt0 = load_tables(c0);
-  const NibTables nt1 = load_tables(c1);
+  const NibTables nt0 = load_tables(gf256_tables(), c0);
+  const NibTables nt1 = load_tables(gf256_tables(), c1);
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     const __m128i v0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src0 + i));
@@ -87,6 +86,37 @@ void gf256_mul_add2_ssse3(std::uint8_t* dst, const std::uint8_t* src0, std::uint
         _mm_xor_si128(d, _mm_xor_si128(mul_vec(nt0, v0), mul_vec(nt1, v1))));
   }
   if (i < n) gf256_mul_add2_scalar(dst + i, src0 + i, c0, src1 + i, c1, n - i);
+}
+
+void gf256_dot_ssse3(std::uint8_t* dst, const std::uint8_t* const* src,
+                     const std::uint8_t* c, std::size_t k, std::size_t n) {
+  // Two 16-byte accumulators per pass over the k sources; the nibble
+  // tables are exact for c == 0 and c == 1, so no coefficient is special.
+  const auto& t = gf256_tables();
+  std::size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    __m128i a0 = _mm_setzero_si128();
+    __m128i a1 = _mm_setzero_si128();
+    for (std::size_t j = 0; j < k; ++j) {
+      const NibTables nt = load_tables(t, c[j]);
+      const __m128i v0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src[j] + i));
+      const __m128i v1 =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(src[j] + i + 16));
+      a0 = _mm_xor_si128(a0, mul_vec(nt, v0));
+      a1 = _mm_xor_si128(a1, mul_vec(nt, v1));
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), a0);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i + 16), a1);
+  }
+  for (; i + 16 <= n; i += 16) {
+    __m128i a = _mm_setzero_si128();
+    for (std::size_t j = 0; j < k; ++j) {
+      const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src[j] + i));
+      a = _mm_xor_si128(a, mul_vec(load_tables(t, c[j]), v));
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), a);
+  }
+  gf256_dot_tail_scalar(dst, src, c, k, i, n);
 }
 
 }  // namespace spcache::simd::detail

@@ -28,6 +28,13 @@ void gf256_mul_add_scalar(std::uint8_t* dst, const std::uint8_t* src, std::size_
                           std::uint8_t c);
 void gf256_mul_add2_scalar(std::uint8_t* dst, const std::uint8_t* src0, std::uint8_t c0,
                            const std::uint8_t* src1, std::uint8_t c1, std::size_t n);
+void gf256_dot_scalar(std::uint8_t* dst, const std::uint8_t* const* src,
+                      const std::uint8_t* c, std::size_t k, std::size_t n);
+// Byte-at-a-time dot product over positions [from, n): the remainder the
+// PSHUFB tiers leave after their last full vector.
+void gf256_dot_tail_scalar(std::uint8_t* dst, const std::uint8_t* const* src,
+                           const std::uint8_t* c, std::size_t k, std::size_t from,
+                           std::size_t n);
 std::uint32_t crc32_update_scalar(std::uint32_t state, const std::uint8_t* p,
                                   std::size_t n);
 std::uint32_t crc32_copy_update_scalar(std::uint32_t state, std::uint8_t* dst,
@@ -40,12 +47,22 @@ void gf256_mul_add_ssse3(std::uint8_t* dst, const std::uint8_t* src, std::size_t
                          std::uint8_t c);
 void gf256_mul_add2_ssse3(std::uint8_t* dst, const std::uint8_t* src0, std::uint8_t c0,
                           const std::uint8_t* src1, std::uint8_t c1, std::size_t n);
+void gf256_dot_ssse3(std::uint8_t* dst, const std::uint8_t* const* src,
+                     const std::uint8_t* c, std::size_t k, std::size_t n);
 void gf256_mul_avx2(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
                     std::uint8_t c);
 void gf256_mul_add_avx2(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
                         std::uint8_t c);
 void gf256_mul_add2_avx2(std::uint8_t* dst, const std::uint8_t* src0, std::uint8_t c0,
                          const std::uint8_t* src1, std::uint8_t c1, std::size_t n);
+void gf256_dot_avx2(std::uint8_t* dst, const std::uint8_t* const* src,
+                    const std::uint8_t* c, std::size_t k, std::size_t n);
+void gf256_mul_avx512(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
+                      std::uint8_t c);
+void gf256_mul_add_avx512(std::uint8_t* dst, const std::uint8_t* src, std::size_t n,
+                          std::uint8_t c);
+void gf256_dot_avx512(std::uint8_t* dst, const std::uint8_t* const* src,
+                      const std::uint8_t* c, std::size_t k, std::size_t n);
 std::uint32_t crc32_update_pclmul(std::uint32_t state, const std::uint8_t* p,
                                   std::size_t n);
 std::uint32_t crc32_copy_update_pclmul(std::uint32_t state, std::uint8_t* dst,

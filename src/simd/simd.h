@@ -3,13 +3,17 @@
 // Everything that moves bytes in bulk — GF(256) multiply-accumulate for the
 // Reed-Solomon codec, CRC-32 for block integrity, and the fused
 // checksum-while-copying primitive — funnels through one kernel table here.
-// The table is selected once at startup by CPUID (scalar / SSSE3 / AVX2,
-// with PCLMULQDQ-folded CRC where available) and can be clamped down for
-// testing via the SPCACHE_SIMD environment variable or force_level().
+// The table is selected once at startup by CPUID (scalar / SSSE3 / AVX2 /
+// AVX-512, with PCLMULQDQ-folded CRC where available) and can be clamped
+// down for testing via the SPCACHE_SIMD environment variable
+// (scalar|ssse3|avx2|avx512) or force_level(). The avx512 tier needs
+// AVX512F, AVX512BW and GFNI; its CRC entries are the PCLMUL ones and its
+// gf256_mul_add2 is the AVX2 one (the RS encoder uses gf256_dot there).
 //
 // All kernels are bit-exact across levels: the SSSE3/AVX2 GF kernels use
 // split-nibble PSHUFB table lookups over the same AES polynomial 0x11B as
-// the scalar code, and the PCLMUL CRC folds the same reflected IEEE
+// the scalar code, the AVX-512 tier's VGF2P8MULB reduces by that same
+// polynomial in hardware, and the PCLMUL CRC folds the same reflected IEEE
 // polynomial 0xEDB88320 (not the SSE4.2 crc32 instruction, which computes
 // CRC-32C). The cross-ISA equivalence suite in tests/test_simd_kernels.cpp
 // fuzzes every kernel pair across odd lengths and unaligned offsets.
@@ -21,7 +25,7 @@
 namespace spcache::simd {
 
 // Kernel tiers, ordered: a higher level implies every lower one works too.
-enum class Level : int { kScalar = 0, kSsse3 = 1, kAvx2 = 2 };
+enum class Level : int { kScalar = 0, kSsse3 = 1, kAvx2 = 2, kAvx512 = 3 };
 
 const char* level_name(Level level);
 
@@ -30,7 +34,8 @@ Level detected_level();
 bool level_supported(Level level);
 
 // Level the process is actually running: detected_level() clamped by the
-// SPCACHE_SIMD environment variable (scalar|ssse3|avx2) and by force_level().
+// SPCACHE_SIMD environment variable (scalar|ssse3|avx2|avx512) and by
+// force_level().
 Level active_level();
 
 // Test hook: swap the active kernel table. Requests above detected_level()
@@ -55,9 +60,17 @@ struct Kernels {
   // One read-modify-write of dst covers two sources, which halves the
   // dst traffic of the RS parity inner loop (its bottleneck once the
   // shard chunks are cache-blocked). Same aliasing rules as gf256_mul_add
-  // for each source independently.
+  // for each source independently. The RS encoder uses it below the avx512
+  // tier, where it measured faster than gf256_dot.
   void (*gf256_mul_add2)(std::uint8_t* dst, const std::uint8_t* src0, std::uint8_t c0,
                          const std::uint8_t* src1, std::uint8_t c1, std::size_t n);
+
+  // Dot product of k sources: dst[i] = sum_j c[j] * src[j][i], for any
+  // k <= 256 (k == 0 zeroes dst). The vector tiers hold the sum in
+  // registers, so dst is written once and never read: one pass computes an
+  // RS parity or reconstructed data row. dst must not overlap any source.
+  void (*gf256_dot)(std::uint8_t* dst, const std::uint8_t* const* src,
+                    const std::uint8_t* c, std::size_t k, std::size_t n);
 
   // CRC-32 (reflected IEEE 0xEDB88320) on the *raw* state convention:
   // state starts at 0xFFFFFFFF and is xor-finalized by the caller

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 
 namespace spcache {
@@ -154,6 +155,99 @@ TEST(ReedSolomon, DecodeErrorHandling) {
   auto oob = shards[0];
   oob.index = 99;
   EXPECT_THROW(rs.decode({oob, shards[1], shards[2], shards[3], shards[4]}, data.size()),
+               std::invalid_argument);
+}
+
+// Decodes `data` through decode_into from the shards named by `mask` (bit
+// i = shard i supplied), in forward and reverse order, through one reused
+// scratch; the output must be the file and the return value its CRC.
+void expect_decode_into(const ReedSolomon& rs, const std::vector<Shard>& shards,
+                        const std::vector<std::uint8_t>& data, std::vector<std::size_t> picks,
+                        RsScratch& scratch) {
+  for (int order = 0; order < 2; ++order) {
+    std::vector<ShardView> views;
+    for (const std::size_t i : picks) views.push_back({i, shards[i].bytes});
+    std::vector<std::uint8_t> out(data.size(), 0xA5);
+    const std::uint32_t crc = rs.decode_into(views, data.size(), out, scratch);
+    ASSERT_EQ(out, data) << "size " << data.size() << " order " << order;
+    ASSERT_EQ(crc, crc32(out)) << "size " << data.size() << " order " << order;
+    std::reverse(picks.begin(), picks.end());
+  }
+}
+
+// File sizes around the padding edges (empty, one byte, k-1, k, k+1) plus
+// 33000-byte shards whose last row is truncated by k-1 bytes, so the tail
+// row's live prefix crosses the 32 KiB decode-block boundary.
+std::vector<std::size_t> edge_sizes(std::size_t k) {
+  return {0, 1, k - 1, k, k + 1, k * 33000 - (k - 1)};
+}
+
+TEST(ReedSolomon, DecodeIntoEveryErasurePatternOfRs46) {
+  Rng rng(12);
+  const ReedSolomon rs(4, 6);
+  RsScratch scratch;
+  for (const std::size_t size : edge_sizes(4)) {
+    const auto data = random_bytes(size, rng);
+    const auto shards = rs.encode(data);
+    int patterns = 0;
+    for (unsigned mask = 0; mask < (1u << 6); ++mask) {
+      if (__builtin_popcount(mask) < 4) continue;
+      std::vector<std::size_t> picks;
+      for (std::size_t i = 0; i < 6; ++i) {
+        if (mask & (1u << i)) picks.push_back(i);
+      }
+      expect_decode_into(rs, shards, data, picks, scratch);
+      ++patterns;
+    }
+    EXPECT_EQ(patterns, 22);  // C(6,4) + C(6,5) + C(6,6)
+  }
+}
+
+TEST(ReedSolomon, DecodeIntoSampledPatternsOfRs1014) {
+  Rng rng(13);
+  const ReedSolomon rs(10, 14);
+  RsScratch scratch;
+  for (const std::size_t size : edge_sizes(10)) {
+    const auto data = random_bytes(size, rng);
+    const auto shards = rs.encode(data);
+    for (int trial = 0; trial < 40; ++trial) {
+      const std::size_t supplied = 10 + rng.uniform_index(5);
+      expect_decode_into(rs, shards, data, rng.sample_without_replacement(14, supplied),
+                         scratch);
+    }
+  }
+}
+
+TEST(ReedSolomon, DecodeIntoErrorHandling) {
+  Rng rng(14);
+  const auto data = random_bytes(64, rng);
+  const ReedSolomon rs(4, 6);
+  const auto shards = rs.encode(data);
+  std::vector<ShardView> views;
+  for (const auto& s : shards) views.push_back({s.index, s.bytes});
+  RsScratch scratch;
+  std::vector<std::uint8_t> out(data.size());
+  const auto decode = [&](std::vector<ShardView> v, std::size_t out_size) {
+    std::vector<std::uint8_t> o(out_size);
+    return rs.decode_into(v, data.size(), o, scratch);
+  };
+  EXPECT_EQ(decode(views, data.size()), crc32(data));
+  // Output span of the wrong size.
+  EXPECT_THROW(decode(views, data.size() - 1), std::invalid_argument);
+  // Too few shards.
+  EXPECT_THROW(decode({views[0], views[4], views[5]}, data.size()), std::invalid_argument);
+  // Duplicate indices.
+  EXPECT_THROW(decode({views[0], views[0], views[1], views[2]}, data.size()),
+               std::invalid_argument);
+  // Wrong shard length.
+  auto short_view = views[1];
+  short_view.bytes = short_view.bytes.first(short_view.bytes.size() - 1);
+  EXPECT_THROW(decode({views[0], short_view, views[2], views[3]}, data.size()),
+               std::invalid_argument);
+  // Out-of-range index.
+  auto oob = views[0];
+  oob.index = 99;
+  EXPECT_THROW(decode({oob, views[1], views[2], views[3], views[4]}, data.size()),
                std::invalid_argument);
 }
 

@@ -1,8 +1,8 @@
 // Cross-ISA equivalence suite for the src/simd kernel layer.
 //
-// Every kernel (GF(256) mul / mul-add, CRC-32 update, fused copy+CRC) is
-// fuzz-compared against the scalar tier — and against an independent
-// bit-by-bit reference — across odd lengths, unaligned offsets, and
+// Every kernel (GF(256) mul / mul-add / mul-add2 / dot, CRC-32 update, fused
+// copy+CRC) is fuzz-compared against the scalar tier — and against an
+// independent bit-by-bit reference — across odd lengths, unaligned offsets, and
 // head/tail remainders, at every level the host CPU supports. The sanitizer
 // presets force SPCACHE_SIMD=scalar through tools/check.sh, so the scalar
 // tier is additionally exercised under TSan/ASan.
@@ -58,7 +58,8 @@ std::uint32_t crc_ref_update(std::uint32_t state, const std::uint8_t* p, std::si
 
 std::vector<simd::Level> supported_levels() {
   std::vector<simd::Level> out;
-  for (const auto level : {simd::Level::kScalar, simd::Level::kSsse3, simd::Level::kAvx2}) {
+  for (const auto level : {simd::Level::kScalar, simd::Level::kSsse3, simd::Level::kAvx2,
+                           simd::Level::kAvx512}) {
     if (simd::level_supported(level)) out.push_back(level);
   }
   return out;
@@ -77,10 +78,18 @@ TEST(SimdKernels, LevelPlumbing) {
   const auto detected = simd::detected_level();
   EXPECT_GE(static_cast<int>(detected), static_cast<int>(simd::Level::kScalar));
   EXPECT_STREQ(simd::level_name(simd::Level::kScalar), "scalar");
+  EXPECT_STREQ(simd::level_name(simd::Level::kAvx512), "avx512");
+  EXPECT_EQ(simd::level_supported(simd::Level::kAvx512),
+            detected == simd::Level::kAvx512);
 
-  // force_level clamps to the detected ceiling and is reversible.
+  // force_level clamps to the detected ceiling and is reversible. avx512 is
+  // the top tier, so forcing it lands exactly on the detected level: on a
+  // host without AVX512BW+GFNI it clamps down to avx2 (or lower).
   simd::force_level(simd::Level::kAvx2);
   EXPECT_LE(static_cast<int>(simd::active_level()), static_cast<int>(detected));
+  simd::force_level(simd::Level::kAvx512);
+  EXPECT_EQ(simd::active_level(), detected);
+  EXPECT_EQ(simd::kernels_for(simd::Level::kAvx512).level, detected);
   simd::force_level(simd::Level::kScalar);
   EXPECT_EQ(simd::active_level(), simd::Level::kScalar);
   EXPECT_EQ(simd::kernels().level, simd::Level::kScalar);
@@ -170,6 +179,76 @@ TEST(SimdKernels, Gf256MulAdd2MatchesReferenceAcrossLevels) {
   }
 }
 
+// Reference dot product over positions [0, n) with the same sources.
+std::vector<std::uint8_t> dot_ref(const std::vector<const std::uint8_t*>& src,
+                                  const std::vector<std::uint8_t>& c, std::size_t n) {
+  std::vector<std::uint8_t> out(n, 0);
+  for (std::size_t j = 0; j < src.size(); ++j) {
+    for (std::size_t i = 0; i < n; ++i) out[i] ^= gf_ref_mul(src[j][i], c[j]);
+  }
+  return out;
+}
+
+// Runs one tier's dot kernel into a poisoned buffer (dst is write-only, so
+// its old bytes must not leak in) with a canary past the end, and checks
+// the first n bytes against the reference.
+void expect_dot(const simd::Kernels& k, const std::vector<const std::uint8_t*>& src,
+                const std::vector<std::uint8_t>& c, std::size_t n, std::size_t dst_off,
+                const std::vector<std::uint8_t>& want) {
+  std::vector<std::uint8_t> buf(dst_off + n + 1, 0xA5);
+  k.gf256_dot(buf.data() + dst_off, src.data(), c.data(), src.size(), n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(buf[dst_off + i], want[i])
+        << simd::level_name(k.level) << " dot k=" << src.size() << " n=" << n
+        << " dst_off=" << dst_off << " i=" << i;
+  }
+  ASSERT_EQ(buf[dst_off + n], 0xA5) << "dot overran the destination";
+}
+
+TEST(SimdKernels, Gf256DotMatchesReferenceAcrossLevels) {
+  // k from one source to the 256 the kernel contract allows; every odd
+  // length up to 300 (and 0) covers each tier's block loop and tail paths.
+  constexpr std::size_t kMaxLen = 300;
+  const std::size_t ks[] = {1, 2, 3, 10, 17, 64, 256};
+  constexpr std::size_t kStride = 331;  // misaligns the sources against each other
+  const auto pool = fuzz_bytes(8 + 256 * kStride, 79);
+  for (const std::size_t k : ks) {
+    auto c = fuzz_bytes(k, 83 + k);
+    c[k / 2] = 0;  // degenerate coefficients ride along
+    c[k - 1] = 1;
+    if (k == 1) c[0] = 177;
+    for (const std::size_t off : kOffsets) {
+      std::vector<const std::uint8_t*> src(k);
+      for (std::size_t j = 0; j < k; ++j) src[j] = pool.data() + off + j * kStride;
+      const auto want = dot_ref(src, c, kMaxLen);
+      for (const auto level : supported_levels()) {
+        const auto& kr = simd::kernels_for(level);
+        expect_dot(kr, src, c, 0, off, want);
+        for (std::size_t n = 1; n <= kMaxLen; n += 2) expect_dot(kr, src, c, n, off, want);
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, Gf256DotMatchesMulAddChainOnLongRows) {
+  // Multi-KB rows through each tier's steady-state loop, against the same
+  // tier's mul/mul_add chain (itself pinned to the reference above).
+  const auto pool = fuzz_bytes(10 * 70000, 89);
+  const auto c = fuzz_bytes(10, 97);
+  std::vector<const std::uint8_t*> src(10);
+  for (std::size_t j = 0; j < 10; ++j) src[j] = pool.data() + 3 + j * 70000;
+  for (const auto level : supported_levels()) {
+    const auto& k = simd::kernels_for(level);
+    for (const std::size_t n : {std::size_t{4096}, std::size_t{4097}, std::size_t{65521}}) {
+      std::vector<std::uint8_t> chain(n), dot(n, 0xA5);
+      k.gf256_mul(chain.data(), src[0], n, c[0]);
+      for (std::size_t j = 1; j < 10; ++j) k.gf256_mul_add(chain.data(), src[j], n, c[j]);
+      k.gf256_dot(dot.data(), src.data(), c.data(), 10, n);
+      ASSERT_EQ(dot, chain) << simd::level_name(level) << " n=" << n;
+    }
+  }
+}
+
 TEST(SimdKernels, Gf256MulExactAliasingIsSupported) {
   for (const auto level : supported_levels()) {
     const auto& k = simd::kernels_for(level);
@@ -242,17 +321,35 @@ TEST(SimdKernels, PublicCrcApiAgreesWithActiveKernels) {
   const std::uint32_t b =
       crc32(std::span<const std::uint8_t>(data.data() + cut, data.size() - cut));
   EXPECT_EQ(crc32_combine(a, b, data.size() - cut), whole);
-  Crc32Combiner combiner;
-  for (int rep = 0; rep < 3; ++rep) {  // cached-operator path
-    EXPECT_EQ(combiner.combine(a, b, data.size() - cut), whole);
-  }
+  EXPECT_EQ(crc32_combine_op(a, b, crc32_combine_gen(data.size() - cut)), whole);
   EXPECT_EQ(crc32_combine(a, b, 0), a ^ b);
 
-  // The built operator must carry its length: it is the combiner's cache
-  // key, and losing it (e.g. via gf2_compose resetting the field) silently
-  // degrades every cached combine into a full matrix rebuild.
-  EXPECT_EQ(crc32_zeros_op(data.size() - cut).len, data.size() - cut);
-  EXPECT_EQ(crc32_zeros_op(1).len, 1u);
+  // Random split points, each against the one-shot CRC.
+  std::uint64_t x = 0x2545F4914F6CDD1Dull;
+  for (int rep = 0; rep < 300; ++rep) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const std::size_t at = x % (data.size() + 1);
+    const std::span<const std::uint8_t> all(data);
+    ASSERT_EQ(crc32_combine(crc32(all.first(at)), crc32(all.subspan(at)), data.size() - at),
+              whole)
+        << "split at " << at;
+  }
+}
+
+TEST(SimdKernels, Crc32CombineAcrossLengthScales) {
+  // The appended piece's length walks every scale of the x^(2^j) table:
+  // empty, one byte, just past 1 MiB, and 64 MiB.
+  const auto head = fuzz_bytes(1000, 101);
+  for (const std::size_t len_b :
+       {std::size_t{0}, std::size_t{1}, (std::size_t{1} << 20) + 3, std::size_t{64} << 20}) {
+    std::vector<std::uint8_t> all = head;
+    const auto tail = fuzz_bytes(len_b, 103 + len_b);
+    all.insert(all.end(), tail.begin(), tail.end());
+    const std::uint32_t crc_b = crc32(tail);
+    EXPECT_EQ(crc32_combine(crc32(head), crc_b, len_b), crc32(all)) << "len_b=" << len_b;
+  }
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ if [[ "$QUICK" -eq 0 ]]; then
   # unit tests, the RS codec suite, and the allocation-free read-path test,
   # each run with the dispatcher pinned to every tier this CPU supports
   # (unsupported levels clamp down, so the loop is safe on any host).
-  for level in scalar ssse3 avx2; do
+  for level in scalar ssse3 avx2 avx512; do
     SPCACHE_SIMD="$level" ctest --preset default -L kernels
   done
 
