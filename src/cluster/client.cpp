@@ -20,26 +20,27 @@ double elapsed_seconds(std::chrono::steady_clock::time_point start) {
 }
 
 // The in-process PieceStore: direct calls into the Cluster's block stores,
-// fanned out on the ThreadPool. Fetches hand out the resident BlockRefs
-// (zero-copy); modelled times follow the GoodputModel.
+// fanned out on the ThreadPool (or run inline without one). Fetches hand
+// out the resident BlockRefs (zero-copy); modelled times follow the
+// GoodputModel.
 class InprocPieceStore final : public PieceStore {
  public:
-  InprocPieceStore(Cluster& cluster, ThreadPool& pool, GoodputModel goodput)
+  InprocPieceStore(Cluster& cluster, ThreadPool* pool, GoodputModel goodput)
       : cluster_(cluster), pool_(pool), goodput_(goodput) {}
 
   void put(FileId id, std::span<const std::span<const std::uint8_t>> pieces,
-           const std::vector<std::uint32_t>& servers, std::uint64_t /*epoch*/) override {
+           const std::vector<std::uint32_t>& servers, std::uint64_t /*epoch*/,
+           std::span<const std::uint32_t> piece_ids) override {
     // Each piece's only copy is the fused copy+CRC pass inside put_copy,
     // straight into the server's block.
-    pool_.parallel_for(pieces.size(), [&](std::size_t i) {
-      cluster_.server(servers[i]).put_copy(BlockKey{id, static_cast<PieceIndex>(i)},
-                                           pieces[i]);
+    for_each(pieces.size(), [&](std::size_t i) {
+      cluster_.server(servers[i]).put_copy(key_of(id, piece_ids, i), pieces[i]);
     });
   }
 
   void put_owned(FileId id, std::vector<std::vector<std::uint8_t>> pieces,
                  const std::vector<std::uint32_t>& servers, std::uint64_t /*epoch*/) override {
-    pool_.parallel_for(pieces.size(), [&](std::size_t i) {
+    for_each(pieces.size(), [&](std::size_t i) {
       cluster_.server(servers[i]).put(BlockKey{id, static_cast<PieceIndex>(i)},
                                       std::move(pieces[i]));
     });
@@ -50,7 +51,7 @@ class InprocPieceStore final : public PieceStore {
     // A thread never throws out of the pool: a dead server, an injected
     // fetch failure or a block-level checksum trip just leaves the piece
     // undelivered.
-    pool_.parallel_for(pieces.size(), [&](std::size_t j) {
+    for_each(pieces.size(), [&](std::size_t j) {
       const std::uint32_t i = pieces[j];
       try {
         auto block = cluster_.server(layout.servers[i]).get(BlockKey{id, i});
@@ -84,9 +85,73 @@ class InprocPieceStore final : public PieceStore {
     return static_cast<double>(bytes) / (client_bw * goodput_.factor(servers.size()));
   }
 
+  // Staging runs on the caller's thread: the delta executor already runs
+  // one file per pool task.
+  bool stage(FileId id, const PieceAssembly& piece, std::uint64_t epoch) override {
+    try {
+      auto& dst = cluster_.server(piece.dst_server);
+      const BlockKey key{id, piece.new_piece};
+      Bytes filled = 0;
+      for (const auto& range : piece.sources) {
+        const auto bytes = get_range(cluster_.server(range.src_server),
+                                     BlockKey{id, range.old_piece}, range.offset_in_piece,
+                                     range.length);
+        dst.stage_range(key, epoch, piece.piece_size, filled, bytes);
+        filled += bytes.size();
+      }
+      return dst.finalize_staged(key, epoch);
+    } catch (const std::exception&) {
+      return false;
+    }
+  }
+
+  bool publish_staged(FileId id, std::uint32_t piece, std::uint32_t server,
+                      std::uint64_t epoch) override {
+    try {
+      return cluster_.server(server).publish_staged(BlockKey{id, piece}, epoch);
+    } catch (const std::exception&) {
+      return false;  // the destination died between finalize and publish
+    }
+  }
+
+  void discard_staged(FileId id, std::uint32_t piece, std::uint32_t server,
+                      std::uint64_t epoch) override {
+    cluster_.server(server).discard_staged(BlockKey{id, piece}, epoch);
+  }
+
+  void erase(FileId id, std::uint32_t piece, std::uint32_t server) override {
+    cluster_.server(server).erase(BlockKey{id, piece});
+  }
+
  private:
+  static BlockKey key_of(FileId id, std::span<const std::uint32_t> piece_ids, std::size_t i) {
+    return BlockKey{id, piece_ids.empty() ? static_cast<PieceIndex>(i) : piece_ids[i]};
+  }
+
+  // A transient fault should not abort a whole file's migration; a
+  // persistent one still throws after kRangeFetchAttempts.
+  static std::vector<std::uint8_t> get_range(const CacheServer& src, const BlockKey& key,
+                                             Bytes offset, Bytes length) {
+    for (int attempt = 1;; ++attempt) {
+      try {
+        return src.get_range(key, offset, length);
+      } catch (const std::exception&) {
+        if (attempt >= kRangeFetchAttempts) throw;
+      }
+    }
+  }
+
+  template <typename F>
+  void for_each(std::size_t n, F&& fn) {
+    if (pool_ != nullptr) {
+      pool_->parallel_for(n, fn);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) fn(i);
+    }
+  }
+
   Cluster& cluster_;
-  ThreadPool& pool_;
+  ThreadPool* pool_;
   GoodputModel goodput_;
 };
 
@@ -103,6 +168,8 @@ class InprocLayoutService final : public LayoutService {
     return LookupStatus::kFound;
   }
 
+  std::optional<FileMeta> peek(FileId id) override { return master_.peek(id); }
+
   std::uint64_t epoch(FileId id) override { return master_.file_epoch(id); }
 
   std::uint64_t publish(FileId id, const FileMeta& meta) override {
@@ -112,6 +179,17 @@ class InprocLayoutService final : public LayoutService {
       master_.register_file(id, meta);
     }
     return master_.file_epoch(id);
+  }
+
+  bool cutover(FileId id, std::uint64_t expected_epoch, const FileMeta& next,
+               const std::function<bool()>& splice) override {
+    // The guard serializes this cutover against every other guarded
+    // read-modify-write of the file; update_file_if re-checks the epoch
+    // under the shard lock, so an unguarded client write landing during
+    // the splice is not overwritten either.
+    const auto guard = master_.lock_file(id);
+    if (!guard || master_.file_epoch(id) != expected_epoch) return false;
+    return splice() && master_.update_file_if(id, next, expected_epoch);
   }
 
   std::optional<std::uint64_t> report_access(
@@ -134,13 +212,22 @@ class InprocLayoutService final : public LayoutService {
 
 }  // namespace
 
+std::unique_ptr<PieceStore> make_inproc_piece_store(Cluster& cluster, ThreadPool* pool,
+                                                    GoodputModel goodput) {
+  return std::make_unique<InprocPieceStore>(cluster, pool, goodput);
+}
+
+std::unique_ptr<LayoutService> make_inproc_layout_service(Master& master, StableStore* stable) {
+  return std::make_unique<InprocLayoutService>(master, stable);
+}
+
 SpClient::SpClient(Cluster& cluster, Master& master, ThreadPool& pool, GoodputModel goodput)
     : SpClient(cluster, master, pool, nullptr, fault::RetryPolicy{}, goodput) {}
 
 SpClient::SpClient(Cluster& cluster, Master& master, ThreadPool& pool, StableStore* stable,
                    fault::RetryPolicy retry, GoodputModel goodput, ClientCacheConfig cache)
-    : SpClient(std::make_unique<InprocPieceStore>(cluster, pool, goodput),
-               std::make_unique<InprocLayoutService>(master, stable), retry, cache) {}
+    : SpClient(make_inproc_piece_store(cluster, &pool, goodput),
+               make_inproc_layout_service(master, stable), retry, cache) {}
 
 SpClient::SpClient(std::unique_ptr<PieceStore> store, std::unique_ptr<LayoutService> layouts,
                    fault::RetryPolicy retry, ClientCacheConfig cache)
@@ -227,7 +314,7 @@ IoResult SpClient::write_sized(FileId id, std::span<const std::uint8_t> data,
   // can reject a later fetch against the *previous* generation; the master
   // keeps max(proposal, current + 1), so a weak proposal never regresses.
   meta.epoch = layouts_->epoch(id) + 1;
-  store_->put(id, pieces, servers, meta.epoch);
+  store_->put(id, pieces, servers, meta.epoch, {});
   meta.epoch = layouts_->publish(id, meta);
   if (cache_config_.layout_cache) layout_cache_.put(id, std::move(meta));
   layouts_->checkpoint(id, data);
@@ -487,8 +574,8 @@ void SpClient::attach_observability(obs::MetricsRegistry* registry,
 
 EcClient::EcClient(Cluster& cluster, Master& master, ThreadPool& pool, std::size_t k,
                    std::size_t n, GoodputModel goodput)
-    : EcClient(std::make_unique<InprocPieceStore>(cluster, pool, goodput),
-               std::make_unique<InprocLayoutService>(master, nullptr), k, n) {}
+    : EcClient(make_inproc_piece_store(cluster, &pool, goodput),
+               make_inproc_layout_service(master, nullptr), k, n) {}
 
 EcClient::EcClient(std::unique_ptr<PieceStore> store, std::unique_ptr<LayoutService> layouts,
                    std::size_t k, std::size_t n)

@@ -1,24 +1,33 @@
-// The seam under the SP and EC clients: where their bytes and layouts come
-// from.
+// The seam under every algorithm that moves bytes: where pieces and
+// layouts come from.
 //
-// SpClient and EcClient (cluster/client.h) are the only read/write engines.
+// SpClient and EcClient (cluster/client.h), the RecoveryManager
+// (cluster/stable_store.h) and the delta repartitioner
+// (delta_repartition_file, cluster/repartition_exec.h) each exist once.
 // They reach the deployment through two narrow interfaces:
 //
-//   * PieceStore    — a batched put and a batched fetch of one file's pieces.
-//   * LayoutService — the SP-Master: lookup, epoch, publish, batched access
-//                     reports, and the stable-tier restore.
+//   * PieceStore    — batched put and fetch of one file's pieces, plus the
+//                     staged assembly of a new piece from byte ranges of
+//                     old ones (stage / publish_staged / discard_staged)
+//                     and a best-effort erase.
+//   * LayoutService — the SP-Master: lookup, a non-counting peek, epoch,
+//                     publish, the epoch-checked layout cutover, batched
+//                     access reports, and the stable-tier restore.
 //
 // Each has an in-process implementation over Cluster/Master/ThreadPool
-// (built by the clients' Cluster& constructors, cluster/client.cpp) and an
-// RPC implementation over a Bus (built by RpcSpClient/RpcEcClient,
-// rpc/cache_service.cpp). What differs between deployments stays behind
-// the seam, so the engines branch on neither: the GoodputModel modelled
-// times exist only in-process (the RPC side reports 0 — its time is real),
-// and multi-GET coalescing and the per-piece kGetBlock baseline exist only
-// in the RPC PieceStore.
+// (make_inproc_piece_store / make_inproc_layout_service, cluster/client.cpp)
+// and an RPC implementation over a Bus (rpc::make_rpc_piece_store /
+// rpc::make_rpc_layout_service, rpc/cache_service.cpp). What differs
+// between deployments stays behind the seam, so the algorithms branch on
+// neither: the GoodputModel modelled times exist only in-process (the RPC
+// side reports 0 — its time is real), multi-GET coalescing and the
+// per-piece kGetBlock baseline exist only in the RPC PieceStore, and the
+// cutover holds the master's per-file guard in-process but relies on the
+// master's compare-and-swap over RPC.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -27,8 +36,14 @@
 
 #include "cluster/master.h"
 #include "common/units.h"
+#include "core/repartition.h"
+#include "net/network_model.h"
 
 namespace spcache {
+
+class Cluster;
+class StableStore;
+class ThreadPool;
 
 // One fetched piece, zero-copy: a view of its bytes plus the owner that
 // keeps them alive — the resident BlockRef in-process, the reply payload
@@ -49,6 +64,9 @@ class PieceSink {
   ~PieceSink() = default;
 };
 
+// Tries per byte-range read of a staged assembly.
+inline constexpr int kRangeFetchAttempts = 3;
+
 class PieceStore {
  public:
   PieceStore() = default;
@@ -56,11 +74,12 @@ class PieceStore {
   PieceStore& operator=(const PieceStore&) = delete;
   virtual ~PieceStore() = default;
 
-  // Store pieces[i] as piece i of `id` on servers[i], stamped with layout
-  // generation `epoch`. Returns once every piece is stored; throws if any
-  // store failed.
+  // Store pieces[i] as piece piece_ids[i] of `id` (piece i when piece_ids
+  // is empty) on servers[i], stamped with layout generation `epoch`.
+  // Returns once every piece is stored; throws if any store failed.
   virtual void put(FileId id, std::span<const std::span<const std::uint8_t>> pieces,
-                   const std::vector<std::uint32_t>& servers, std::uint64_t epoch) = 0;
+                   const std::vector<std::uint32_t>& servers, std::uint64_t epoch,
+                   std::span<const std::uint32_t> piece_ids) = 0;
 
   // put() of buffers the caller gives away (the EC client's freshly encoded
   // shards). A store that keeps blocks in memory adopts them instead of
@@ -68,7 +87,7 @@ class PieceStore {
   virtual void put_owned(FileId id, std::vector<std::vector<std::uint8_t>> pieces,
                          const std::vector<std::uint32_t>& servers, std::uint64_t epoch) {
     const std::vector<std::span<const std::uint8_t>> views(pieces.begin(), pieces.end());
-    put(id, views, servers, epoch);
+    put(id, views, servers, epoch, {});
   }
 
   // Fetch `pieces` of `id` as laid out by `layout`, handing each one that
@@ -90,6 +109,26 @@ class PieceStore {
                              Bytes /*bytes*/) const {
     return 0.0;
   }
+
+  // --- Staged assembly (delta repartition) ------------------------------
+  // Build piece `piece.new_piece` of `id` on `piece.dst_server` under
+  // staging generation `epoch`, out of band: each RangeSource is read from
+  // its source server (kRangeFetchAttempts tries) and appended in order, then
+  // the piece is sealed (completeness + CRC) so publishing it is a pure
+  // splice. Readers see none of it. Returns false on any failure; the
+  // caller then discards.
+  virtual bool stage(FileId id, const PieceAssembly& piece, std::uint64_t epoch) = 0;
+  // Splice a sealed staged piece into the live store, overwriting a
+  // same-key resident block. False if it was not staged or the server
+  // failed.
+  virtual bool publish_staged(FileId id, std::uint32_t piece, std::uint32_t server,
+                              std::uint64_t epoch) = 0;
+  // Drop a staged piece (abort path). Best effort, never throws.
+  virtual void discard_staged(FileId id, std::uint32_t piece, std::uint32_t server,
+                              std::uint64_t epoch) = 0;
+  // Drop a resident piece (garbage collection of a superseded layout).
+  // Best effort: a failed erase leaves a harmless orphan. Never throws.
+  virtual void erase(FileId id, std::uint32_t piece, std::uint32_t server) = 0;
 };
 
 enum class LookupStatus { kFound, kUnknownFile, kUnavailable };
@@ -113,6 +152,11 @@ class LayoutService {
   // transient failure worth another pass.
   virtual LookupStatus lookup(FileId id, FileMeta& out) = 0;
 
+  // Current layout of `id` without counting an access (the popularity
+  // input of the next Algorithm 1 epoch stays the readers' alone).
+  // nullopt for an unknown file or an unreachable master.
+  virtual std::optional<FileMeta> peek(FileId id) = 0;
+
   // Current layout epoch; 0 for an unknown file or an unreachable master
   // (publish still keeps epochs monotonic).
   virtual std::uint64_t epoch(FileId id) = 0;
@@ -120,6 +164,16 @@ class LayoutService {
   // Register or replace the layout of `id`. `meta.epoch` is a proposal;
   // returns the epoch the master assigned. Throws on failure.
   virtual std::uint64_t publish(FileId id, const FileMeta& meta) = 0;
+
+  // Optimistic layout cutover: if `id` is still at `expected_epoch`, run
+  // `splice` (which makes the new layout's pieces live) and swap in `next`
+  // — but only if the epoch is still `expected_epoch` at the swap, checked
+  // atomically by the master (Master::update_file_if). Returns true iff
+  // the swap landed. In-process the master's per-file guard is held
+  // across the check, the splice and the swap; over RPC the epoch is
+  // checked before the splice and compare-and-swapped after it.
+  virtual bool cutover(FileId id, std::uint64_t expected_epoch, const FileMeta& next,
+                       const std::function<bool()>& splice) = 0;
 
   // Batched popularity report for cache-served reads. Returns the accesses
   // applied, or nullopt when the report was lost (the caller re-queues).
@@ -135,5 +189,12 @@ class LayoutService {
   // does nothing.
   virtual void checkpoint(FileId /*id*/, std::span<const std::uint8_t> /*data*/) {}
 };
+
+// The in-process seam. `pool` fans batched puts and fetches out; nullptr
+// runs them on the caller's thread. `stable` (may be nullptr) backs
+// restore().
+std::unique_ptr<PieceStore> make_inproc_piece_store(Cluster& cluster, ThreadPool* pool,
+                                                    GoodputModel goodput = GoodputModel{});
+std::unique_ptr<LayoutService> make_inproc_layout_service(Master& master, StableStore* stable);
 
 }  // namespace spcache

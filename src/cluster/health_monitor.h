@@ -13,11 +13,12 @@
 // marked healthy again — its former partitions already live elsewhere.
 //
 // The probe and the repair are pluggable endpoints, so the same detection
-// state machine drives both deployments: the threaded cluster probes
-// `Cluster::is_alive` and repairs through `RecoveryManager` (the
-// convenience constructor), while spcache_masterd probes workers with a
-// kPing RPC over TCP and repairs through the RpcRecoveryCoordinator —
-// real missed heartbeats from a really dead process.
+// state machine drives both deployments, and both repair through the one
+// `RecoveryManager`: the threaded cluster probes `Cluster::is_alive` and
+// repairs over the in-process PieceStore (the convenience constructor),
+// while spcache_masterd probes workers with a kPing RPC over TCP — real
+// missed heartbeats from a really dead process — and repairs over the RPC
+// PieceStore, picking replacements by this monitor's cached verdicts.
 #pragma once
 
 #include <atomic>

@@ -51,6 +51,20 @@ void Master::update_file(FileId id, FileMeta meta) {
   it->second->meta = std::move(meta);
 }
 
+bool Master::update_file_if(FileId id, FileMeta meta, std::uint64_t expected_epoch) {
+  assert(meta.servers.size() == meta.piece_sizes.size());
+  auto& shard = shard_for(id);
+  std::unique_lock lock(shard.mu);
+  const auto it = shard.files.find(id);
+  if (it == shard.files.end() || it->second->meta.epoch != expected_epoch) return false;
+  if (const auto* probes = probes_.load(std::memory_order_acquire)) {
+    probes->updates->add(1);
+  }
+  meta.epoch = next_epoch(meta.epoch, expected_epoch);
+  it->second->meta = std::move(meta);
+  return true;
+}
+
 bool Master::remove_file(FileId id) {
   auto& shard = shard_for(id);
   std::unique_lock lock(shard.mu);

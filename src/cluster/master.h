@@ -73,6 +73,11 @@ class Master {
   void register_file(FileId id, FileMeta meta);
   // Replace the layout after a repartition.
   void update_file(FileId id, FileMeta meta);
+  // update_file() only if the file's epoch is still `expected_epoch`,
+  // checked under the same shard lock as the swap — a compare-and-swap, so
+  // no writer (guarded or not) can land between the check and the swap.
+  // Returns false, touching nothing, for an unknown file or a moved epoch.
+  bool update_file_if(FileId id, FileMeta meta, std::uint64_t expected_epoch);
   bool remove_file(FileId id);
 
   // Layout lookup for a read; bumps the access count (the master "updates

@@ -1,14 +1,11 @@
 #include "cluster/repartition_exec.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
+#include <chrono>
 #include <mutex>
-#include <span>
 #include <stdexcept>
 #include <unordered_map>
-
-#include <chrono>
 
 #include "common/log.h"
 #include "erasure/rs_code.h"
@@ -110,21 +107,6 @@ FileMeta scatter_file(Cluster& cluster, FileId id, const std::vector<std::uint8_
 }
 
 constexpr std::uint32_t kNoLocalServer = 0xFFFFFFFFu;
-
-// Range fetch with a small retry budget: a transient injected fault should
-// not abort a whole file's migration. Persistent failures still throw —
-// the caller discards the staged pieces and leaves the old layout serving.
-std::vector<std::uint8_t> fetch_range_with_retry(CacheServer& src, const BlockKey& key,
-                                                 Bytes offset, Bytes length) {
-  constexpr int kAttempts = 3;
-  for (int attempt = 1;; ++attempt) {
-    try {
-      return src.get_range(key, offset, length);
-    } catch (const std::exception&) {
-      if (attempt >= kAttempts) throw;
-    }
-  }
-}
 
 }  // namespace
 
@@ -229,6 +211,73 @@ RepartitionStats execute_parallel_repartition(Cluster& cluster, Master& master,
   return stats;
 }
 
+std::optional<DeltaCutover> delta_repartition_file(PieceStore& store, LayoutService& layouts,
+                                                   FileId id,
+                                                   const std::vector<std::uint32_t>& new_servers) {
+  const auto meta = layouts.peek(id);
+  if (!meta) return std::nullopt;
+  const std::uint64_t staging_epoch = meta->epoch + 1;
+  DeltaCutover out;
+  out.plan = plan_range_transfer(meta->size, meta->piece_sizes, meta->servers, new_servers);
+  const auto& pieces = out.plan.pieces;
+
+  FileMeta next;
+  next.size = meta->size;
+  next.servers = new_servers;
+  next.piece_sizes.reserve(pieces.size());
+  for (const auto& piece : pieces) next.piece_sizes.push_back(piece.piece_size);
+  next.file_crc = meta->file_crc;  // content is unchanged, only its cut
+  next.epoch = staging_epoch;
+
+  // Phase 1 — stage every new piece out of band. Readers keep hitting the
+  // old layout; nothing here is visible to them.
+  bool staged = true;
+  for (const auto& piece : pieces) {
+    if (!store.stage(id, piece, staging_epoch)) {
+      staged = false;
+      break;
+    }
+  }
+
+  // Phase 2 — cutover: splice every sealed piece live and swap the layout,
+  // unless another writer landed a layout since we planned (our staged
+  // bytes would describe a stale file). A splice that fails part-way may
+  // have overwritten same-key old pieces; readers detect the size
+  // mismatch and fall back to stable storage until the next repartition
+  // or repair lands a consistent layout.
+  std::chrono::steady_clock::time_point t0;
+  const bool swapped =
+      staged && layouts.cutover(id, meta->epoch, next, [&] {
+        t0 = std::chrono::steady_clock::now();
+        for (const auto& piece : pieces) {
+          if (!store.publish_staged(id, piece.new_piece, piece.dst_server, staging_epoch)) {
+            return false;
+          }
+        }
+        return true;
+      });
+  if (!swapped) {
+    for (const auto& piece : pieces) {
+      store.discard_staged(id, piece.new_piece, piece.dst_server, staging_epoch);
+    }
+    return std::nullopt;
+  }
+  out.cutover_time =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+
+  // Phase 3 — lazy GC, outside the critical section. An old piece whose
+  // index AND server survive into the new layout was overwritten by the
+  // splice (same BlockKey) and must not be erased; everything else is now
+  // unreachable through the master and can go. A reader still holding the
+  // old layout either sees unchanged bytes (CRC passes) or a
+  // missing/mis-sized piece — both funnel into the invalidate/retry path.
+  for (std::size_t i = 0; i < meta->servers.size(); ++i) {
+    const bool reused_in_place = i < new_servers.size() && meta->servers[i] == new_servers[i];
+    if (!reused_in_place) store.erase(id, static_cast<std::uint32_t>(i), meta->servers[i]);
+  }
+  return out;
+}
+
 RepartitionStats execute_delta_repartition(Cluster& cluster, Master& master,
                                            const RepartitionPlan& plan, ThreadPool& pool,
                                            obs::MetricsRegistry* registry,
@@ -240,6 +289,9 @@ RepartitionStats execute_delta_repartition(Cluster& cluster, Master& master,
     scope.finish(stats);
     return stats;
   }
+  // One file per pool task; the store stages on the task's own thread.
+  const auto store = make_inproc_piece_store(cluster, nullptr);
+  const auto layouts = make_inproc_layout_service(master, nullptr);
 
   // Shared accumulators: per-NIC traffic for the modelled time, plus the
   // headline byte counts. One mutex, taken once per file.
@@ -249,121 +301,22 @@ RepartitionStats execute_delta_repartition(Cluster& cluster, Master& master,
 
   pool.parallel_for(n_changed, [&](std::size_t j) {
     const FileId id = plan.changed_files[j];
-    const auto& new_servers = plan.new_servers[j];
-    const auto meta = master.peek(id);
-    if (!meta) return;
-    const std::uint64_t epoch0 = meta->epoch;
-    const std::uint64_t staging_epoch = epoch0 + 1;
-    const auto rplan =
-        plan_range_transfer(meta->size, meta->piece_sizes, meta->servers, new_servers);
-
-    const auto discard_all = [&] {
-      for (const auto& piece : rplan.pieces) {
-        cluster.server(piece.dst_server)
-            .discard_staged(BlockKey{id, piece.new_piece}, staging_epoch);
-      }
-    };
-
-    // Phase 1 — stage every new piece out of band. Readers keep hitting the
-    // old layout; nothing here is visible to them. Any persistent failure
-    // (dead server, exhausted retries) aborts just this file: staged pieces
-    // are discarded and the old layout keeps serving.
-    try {
-      for (const auto& piece : rplan.pieces) {
-        auto& dst = cluster.server(piece.dst_server);
-        const BlockKey key{id, piece.new_piece};
-        Bytes filled = 0;
-        for (const auto& range : piece.sources) {
-          auto bytes = fetch_range_with_retry(cluster.server(range.src_server),
-                                              BlockKey{id, range.old_piece},
-                                              range.offset_in_piece, range.length);
-          dst.stage_range(key, staging_epoch, piece.piece_size, filled,
-                          std::span<const std::uint8_t>(bytes));
-          filled += bytes.size();
-        }
-        // Completeness + CRC now, so the publish below is a pure map splice.
-        if (!dst.finalize_staged(key, staging_epoch)) {
-          throw std::runtime_error("delta repartition: staged piece incomplete");
-        }
-      }
-    } catch (const std::exception&) {
-      discard_all();
-      return;
-    }
-
-    // Phase 2 — cutover. The guard + epoch check make this optimistic: if
-    // any other writer landed a layout since we planned, our staged bytes
-    // describe a stale file and are discarded.
-    Seconds cutover = 0.0;
-    {
-      const auto guard = master.lock_file(id);
-      if (!guard) {
-        discard_all();
-        return;
-      }
-      const auto current = master.peek(id);
-      if (!current || current->epoch != epoch0) {
-        discard_all();
-        return;
-      }
-      const auto t0 = std::chrono::steady_clock::now();
-      bool ok = true;
-      for (const auto& piece : rplan.pieces) {
-        try {
-          if (!cluster.server(piece.dst_server)
-                   .publish_staged(BlockKey{id, piece.new_piece}, staging_epoch)) {
-            ok = false;
-          }
-        } catch (const std::exception&) {
-          ok = false;  // destination died between finalize and publish
-        }
-        if (!ok) break;
-      }
-      if (!ok) {
-        // A partial publish may have overwritten same-key old pieces;
-        // readers detect the size mismatch and fall back to stable storage
-        // until the next repartition or repair lands a consistent layout.
-        discard_all();
-        return;
-      }
-      FileMeta new_meta;
-      new_meta.size = meta->size;
-      new_meta.servers = new_servers;
-      new_meta.piece_sizes.reserve(rplan.pieces.size());
-      for (const auto& piece : rplan.pieces) new_meta.piece_sizes.push_back(piece.piece_size);
-      new_meta.file_crc = meta->file_crc;
-      new_meta.epoch = staging_epoch;
-      master.update_file(id, std::move(new_meta));
-      cutover = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    }  // guard released: readers converge on the new layout from here on
-
+    const auto done = delta_repartition_file(*store, *layouts, id, plan.new_servers[j]);
+    if (!done) return;
+    const auto& rplan = done->plan;
     if (registry) {
       registry->counter(obs::names::kRepartitionBytesMoved).add(rplan.bytes_moved);
       registry->counter(obs::names::kRepartitionBytesSaved).add(rplan.bytes_saved);
-      registry->histogram(obs::names::kRepartitionCutover).record(cutover * 1e6);
+      registry->histogram(obs::names::kRepartitionCutover).record(done->cutover_time * 1e6);
     }
     if (trace) {
-      trace->record(obs::TraceKind::kRepartitionCutover, 0, id, 0, 0, cutover);
-    }
-
-    // Phase 3 — lazy GC, outside the critical section. An old piece whose
-    // index AND server survive into the new layout was overwritten by the
-    // publish above (same BlockKey) and must not be erased; everything else
-    // is now unreachable through the master and can go. A reader still
-    // holding the old layout either sees unchanged bytes (CRC passes) or a
-    // missing/mis-sized piece — both funnel into the invalidate/retry path.
-    for (std::size_t i = 0; i < meta->servers.size(); ++i) {
-      const bool reused_in_place =
-          i < new_servers.size() && meta->servers[i] == new_servers[i];
-      if (!reused_in_place) {
-        cluster.server(meta->servers[i]).erase(BlockKey{id, static_cast<PieceIndex>(i)});
-      }
+      trace->record(obs::TraceKind::kRepartitionCutover, 0, id, 0, 0, done->cutover_time);
     }
 
     std::lock_guard lock(stats_mu);
     stats.bytes_moved += rplan.bytes_moved;
     stats.bytes_saved += rplan.bytes_saved;
-    stats.max_cutover_time = std::max(stats.max_cutover_time, cutover);
+    stats.max_cutover_time = std::max(stats.max_cutover_time, done->cutover_time);
     ++stats.files_touched;
     for (const auto& piece : rplan.pieces) {
       for (const auto& range : piece.sources) {

@@ -13,18 +13,27 @@
 // modelled time = max over repartitioners of their remote traffic divided
 // by their NIC bandwidth.
 //
-// Both executors move the real blocks and update the master, so the test
+// Delta — the parallel scheme moving only the byte ranges whose server
+// changes. Its per-file algorithm, delta_repartition_file, runs over the
+// client seam (cluster/client_seam.h), so one implementation serves both
+// deployments: execute_delta_repartition fans it out over a ThreadPool
+// in-process, and the RPC SP-Repartitioners (rpc/repartitioner_service)
+// each run it over the wire for the files the coordinator assigns them.
+//
+// All executors move the real blocks and update the master, so the test
 // suite can verify post-conditions (every file reassembles bit-exactly
 // after repartition; old pieces are gone).
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/units.h"
 #include "cluster/cache_server.h"
+#include "cluster/client_seam.h"
 #include "cluster/master.h"
 #include "core/repartition.h"
 
@@ -42,7 +51,7 @@ struct RepartitionStats {
   // (never sent), and the widest per-file publish critical section (wall).
   Bytes bytes_saved = 0;
   Seconds max_cutover_time = 0.0;
-  std::size_t files_touched = 0;
+  std::size_t files_touched = 0;  // files whose new layout was published
 };
 
 // Sequential baseline: re-splits every file in `plan.new_k` through the
@@ -63,19 +72,34 @@ RepartitionStats execute_parallel_repartition(Cluster& cluster, Master& master,
                                               obs::MetricsRegistry* registry = nullptr,
                                               obs::TraceRecorder* trace = nullptr);
 
-// Delta scheme: per changed file, computes the range transfer plan
-// (core/repartition) and moves ONLY the byte ranges whose source server
-// differs from their destination — ranges already resident on the
-// destination never cross a NIC. Pieces migrate server-to-server via
-// get_range/stage_range; no repartitioner ever materializes the whole
-// file. Reads keep serving the old layout the entire time: new pieces are
-// staged under epoch+1 out of band, then published in one short critical
-// section (O(k) map splices + the master's layout swap), and the old
-// pieces are garbage-collected lazily after the guard is released —
-// readers racing the cutover converge via the size-mismatch/invalidate
-// retry path. A file whose layout changes underneath the staging phase
-// (epoch moved on) is skipped, staged pieces discarded: delta repartition
-// is optimistic and never blocks a concurrent writer.
+// Delta scheme, one file: moves `id` onto `new_servers` (a split_plain
+// layout) over the seam. Computes the range transfer plan
+// (core/repartition) from the master's current layout, read with peek()
+// so the move counts no access, and moves ONLY the byte ranges whose
+// source server differs from their destination — ranges already resident
+// on the destination never cross a NIC, and no repartitioner ever
+// materializes the whole file. Reads keep serving the old layout the
+// entire time: new pieces are staged under epoch+1 out of band, then
+// published in one short LayoutService::cutover (O(k) splices plus the
+// master's epoch-checked layout swap), and the old pieces are
+// garbage-collected after it — readers racing the cutover converge via the
+// size-mismatch/invalidate retry path. A failed stage or splice, or a file
+// whose epoch moved underneath (another writer landed a layout), discards
+// the staged pieces and keeps the old layout: delta repartition is
+// optimistic and never blocks a concurrent writer. Returns nullopt then
+// (and for an unknown file); otherwise the plan it executed and the wall
+// time of its splice-and-swap.
+struct DeltaCutover {
+  RangeTransferPlan plan;
+  Seconds cutover_time = 0.0;
+};
+std::optional<DeltaCutover> delta_repartition_file(PieceStore& store, LayoutService& layouts,
+                                                   FileId id,
+                                                   const std::vector<std::uint32_t>& new_servers);
+
+// Delta scheme over the threaded cluster: delta_repartition_file for every
+// changed file, concurrently on `pool`. Files it skips are not counted in
+// files_touched.
 //
 // Modelled time is per-NIC: every remote range charges its length to the
 // source's TX and the destination's RX, and the fleet finishes when the

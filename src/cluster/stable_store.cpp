@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
+#include <span>
 #include <stdexcept>
 
 #include "common/log.h"
@@ -55,7 +55,20 @@ Bytes StableStore::bytes_stored() const {
 }
 
 RecoveryManager::RecoveryManager(Cluster& cluster, Master& master, StableStore& stable)
-    : cluster_(cluster), master_(master), stable_(stable) {}
+    : owned_store_(make_inproc_piece_store(cluster, nullptr)),
+      store_(*owned_store_),
+      master_(master),
+      stable_(stable),
+      n_servers_(cluster.size()),
+      is_alive_([&cluster](std::uint32_t s) { return cluster.is_alive(s); }) {}
+
+RecoveryManager::RecoveryManager(PieceStore& store, Master& master, StableStore& stable,
+                                 std::size_t n_servers, LivenessFn is_alive)
+    : store_(store),
+      master_(master),
+      stable_(stable),
+      n_servers_(n_servers),
+      is_alive_(std::move(is_alive)) {}
 
 RecoveryStats RecoveryManager::repair_file(FileId id) {
   // Serialize against concurrent layout mutations (repartition, online
@@ -91,16 +104,52 @@ void RecoveryManager::record_repair(const RecoveryStats& stats) {
 
 namespace {
 
-// Byte range of piece i under the layout's (possibly heterogeneous —
-// write_sized) piece sizes. The write path stores contiguous slices, so
-// slicing the restored file by the recorded sizes reproduces each piece
-// exactly, replication of split_plain's rounding included.
-std::vector<std::uint8_t> piece_slice(const std::vector<std::uint8_t>& bytes,
-                                      const std::vector<Bytes>& piece_sizes, std::size_t i) {
-  Bytes offset = 0;
-  for (std::size_t j = 0; j < i; ++j) offset += piece_sizes[j];
-  const auto begin = bytes.begin() + static_cast<std::ptrdiff_t>(offset);
-  return std::vector<std::uint8_t>(begin, begin + static_cast<std::ptrdiff_t>(piece_sizes[i]));
+// The slices of the restored file that rebuild `pieces` of `meta`, and the
+// servers `meta` places them on. The write path stores contiguous slices,
+// so cutting the file by the layout's (possibly heterogeneous —
+// write_sized) piece sizes reproduces each piece exactly, split_plain's
+// rounding included.
+struct Replacement {
+  std::vector<std::span<const std::uint8_t>> slices;
+  std::vector<std::uint32_t> servers;
+  Bytes bytes = 0;
+};
+Replacement slice_pieces(const std::vector<std::uint8_t>& file, const FileMeta& meta,
+                         const std::vector<std::uint32_t>& pieces) {
+  std::vector<Bytes> offsets(meta.partitions() + 1, 0);
+  for (std::size_t i = 0; i < meta.partitions(); ++i) {
+    offsets[i + 1] = offsets[i] + meta.piece_sizes[i];
+  }
+  Replacement out;
+  for (const std::uint32_t i : pieces) {
+    out.slices.emplace_back(file.data() + offsets[i], meta.piece_sizes[i]);
+    out.servers.push_back(meta.servers[i]);
+    out.bytes += meta.piece_sizes[i];
+  }
+  return out;
+}
+
+// A stable copy is usable only if it is the file the layout describes:
+// the slices are cut from it by the layout's piece sizes.
+bool matches(const std::vector<std::uint8_t>& bytes, const FileMeta& meta) {
+  return bytes.size() == meta.size && crc32(bytes) == meta.file_crc;
+}
+
+// Those of `pieces` that do not arrive intact when fetched.
+std::vector<std::uint32_t> unreadable(PieceStore& store, FileId id, const FileMeta& meta,
+                                      std::vector<std::uint32_t> pieces) {
+  struct Arrivals final : PieceSink {
+    const FileMeta* meta = nullptr;
+    std::vector<char> arrived;
+    void on_piece(PieceView piece) override {
+      if (piece.bytes.size() == meta->piece_sizes[piece.piece]) arrived[piece.piece] = 1;
+    }
+  } sink;
+  sink.meta = &meta;
+  sink.arrived.assign(meta.partitions(), 0);
+  store.fetch(id, meta, pieces, sink);
+  std::erase_if(pieces, [&](std::uint32_t i) { return sink.arrived[i] != 0; });
+  return pieces;
 }
 
 }  // namespace
@@ -112,15 +161,13 @@ RecoveryStats RecoveryManager::repair_pieces(FileId id) {
 
   // Which pieces are gone? A piece whose server is down cannot be
   // re-placed in place — that is a server-loss repair, not a piece repair.
-  std::vector<std::size_t> missing;
+  std::vector<std::uint32_t> on_live;
   bool on_dead_server = false;
-  for (std::size_t i = 0; i < meta->partitions(); ++i) {
-    if (!cluster_.server(meta->servers[i]).alive()) {
+  for (std::uint32_t i = 0; i < meta->partitions(); ++i) {
+    if (is_alive_(meta->servers[i])) {
+      on_live.push_back(i);
+    } else {
       on_dead_server = true;
-      continue;
-    }
-    if (!cluster_.server(meta->servers[i]).contains(BlockKey{id, static_cast<PieceIndex>(i)})) {
-      missing.push_back(i);
     }
   }
   if (on_dead_server) {
@@ -128,28 +175,25 @@ RecoveryStats RecoveryManager::repair_pieces(FileId id) {
                        << " has piece(s) on a dead server; run repair_after_server_loss";
     ++stats.files_skipped;
   }
+  const auto missing = unreadable(store_, id, *meta, std::move(on_live));
   if (missing.empty()) return stats;
 
   const auto bytes = stable_.restore(id);
   if (!bytes) throw std::runtime_error("repair_file: file was never checkpointed");
-  if (crc32(*bytes) != meta->file_crc) {
+  if (!matches(*bytes, *meta)) {
     throw std::runtime_error("repair_file: stable copy does not match the cached file");
   }
 
-  // Re-slice exactly as the write path stored and re-place the lost pieces.
-  Bytes rewritten = 0;
-  for (std::size_t i : missing) {
-    auto piece = piece_slice(*bytes, meta->piece_sizes, i);
-    rewritten += piece.size();
-    cluster_.server(meta->servers[i]).put(BlockKey{id, static_cast<PieceIndex>(i)},
-                                          std::move(piece));
-    ++stats.pieces_recovered;
-  }
+  // Re-place the lost pieces on their own servers, under the layout's own
+  // epoch.
+  const auto lost = slice_pieces(*bytes, *meta, missing);
+  store_.put(id, lost.slices, lost.servers, meta->epoch, missing);
+  stats.pieces_recovered = missing.size();
   stats.bytes_restored = bytes->size();
   // Restore pulls the whole file from stable storage; re-placing the lost
-  // pieces rides the (fast) cluster network.
+  // pieces rides the (fast) cluster network, one stream at a time.
   stats.modelled_time = static_cast<double>(stats.bytes_restored) / stable_.bandwidth() +
-                        static_cast<double>(rewritten) / cluster_.server(0).bandwidth();
+                        store_.write_time({lost.servers.front()}, lost.bytes);
   SPCACHE_LOG(kInfo) << "recovered " << stats.pieces_recovered << " piece(s) of file " << id
                      << " from stable storage (" << stats.bytes_restored / kKB << " kB)";
   return stats;
@@ -162,7 +206,7 @@ RecoveryStats RecoveryManager::repair_after_server_loss(std::uint32_t failed_ser
   // scan is advisory — layouts move underneath it — but each file's actual
   // mutation happens under its guard below, so a stale count only costs
   // balance, never correctness.
-  std::vector<std::size_t> load(cluster_.size(), 0);
+  std::vector<std::size_t> load(n_servers_, 0);
   const auto ids = master_.file_ids();
   for (FileId id : ids) {
     const auto meta = master_.peek(id);
@@ -178,38 +222,41 @@ RecoveryStats RecoveryManager::repair_after_server_loss(std::uint32_t failed_ser
 
     // Slots still on the failed server. None ⇒ already repaired (by an
     // earlier or concurrent run) — idempotent skip.
-    std::vector<std::size_t> slots;
-    for (std::size_t i = 0; i < meta->partitions(); ++i) {
+    std::vector<std::uint32_t> slots;
+    for (std::uint32_t i = 0; i < meta->partitions(); ++i) {
       if (meta->servers[i] == failed_server) slots.push_back(i);
     }
     if (slots.empty()) continue;
 
     const auto bytes = stable_.restore(id);
-    if (!bytes || bytes->size() != meta->size || crc32(*bytes) != meta->file_crc) {
+    if (!bytes || !matches(*bytes, *meta)) {
       SPCACHE_LOG(kWarn) << "repair_after_server_loss: no usable stable copy of file " << id
                          << " — skipped";
       ++total.files_skipped;
       continue;
     }
 
-    // Choose the least-loaded live replacement for each lost slot.
+    // Choose the least-loaded live replacement for each lost slot: a
+    // server not yet holding the file when there is one, else (a cluster
+    // too small for an exclusive server) any live survivor — suboptimal
+    // for balance, but the bytes stay readable, which is the repair's
+    // whole point.
     bool placed = true;
     auto new_meta = *meta;
-    for (std::size_t i : slots) {
-      std::size_t best = cluster_.size();
-      std::size_t best_load = std::numeric_limits<std::size_t>::max();
-      for (std::size_t s = 0; s < cluster_.size(); ++s) {
-        if (s == failed_server || !cluster_.is_alive(s)) continue;
+    for (std::uint32_t i : slots) {
+      std::size_t best = n_servers_;
+      std::size_t fallback = n_servers_;
+      for (std::size_t s = 0; s < n_servers_; ++s) {
+        if (s == failed_server || !is_alive_(static_cast<std::uint32_t>(s))) continue;
+        if (fallback == n_servers_ || load[s] < load[fallback]) fallback = s;
         if (std::find(new_meta.servers.begin(), new_meta.servers.end(),
                       static_cast<std::uint32_t>(s)) != new_meta.servers.end()) {
           continue;
         }
-        if (load[s] < best_load) {
-          best = s;
-          best_load = load[s];
-        }
+        if (best == n_servers_ || load[s] < load[best]) best = s;
       }
-      if (best == cluster_.size()) {
+      if (best == n_servers_) best = fallback;
+      if (best == n_servers_) {
         placed = false;
         break;
       }
@@ -226,21 +273,27 @@ RecoveryStats RecoveryManager::repair_after_server_loss(std::uint32_t failed_ser
 
     // Write the replacement pieces first, publish the layout second:
     // readers holding the new layout always find the bytes; readers
-    // holding the old one fail, retry, and pick up the new layout.
-    Bytes rewritten = 0;
-    for (std::size_t i : slots) {
-      auto piece = piece_slice(*bytes, new_meta.piece_sizes, i);
-      rewritten += piece.size();
-      cluster_.server(new_meta.servers[i])
-          .put(BlockKey{id, static_cast<PieceIndex>(i)}, std::move(piece));
-      ++total.pieces_recovered;
+    // holding the old one fail, retry, and pick up the new layout. The
+    // pieces carry the next epoch, so a worker rejects multi-GETs built
+    // against the old layout.
+    new_meta.epoch = meta->epoch + 1;
+    const auto lost = slice_pieces(*bytes, new_meta, slots);
+    try {
+      store_.put(id, lost.slices, lost.servers, new_meta.epoch, slots);
+    } catch (const std::exception& e) {
+      // Publish nothing: the old layout stays, and the next sweep retries.
+      SPCACHE_LOG(kError) << "repair_after_server_loss: re-placing file " << id
+                          << " failed: " << e.what();
+      ++total.files_skipped;
+      continue;
     }
     master_.update_file(id, new_meta);
+    total.pieces_recovered += slots.size();
     total.bytes_restored += bytes->size();
     // Repartitioned files recover in parallel in a real deployment; we
     // report the aggregate serial time as a conservative upper bound.
     total.modelled_time += static_cast<double>(bytes->size()) / stable_.bandwidth() +
-                           static_cast<double>(rewritten) / cluster_.server(0).bandwidth();
+                           store_.write_time({lost.servers.front()}, lost.bytes);
   }
   record_repair(total);
   return total;

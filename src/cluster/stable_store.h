@@ -13,10 +13,18 @@
 // stable store, re-splits them per the master's current layout, re-places
 // the lost pieces (least-loaded distinct servers), and returns the volume
 // moved plus the modelled recovery time.
+//
+// RecoveryManager is the one repair coordinator of both deployments. It
+// works on the Master and StableStore directly — the SP-Master's process
+// hosts both — and moves bytes only through a PieceStore
+// (cluster/client_seam.h): the threaded cluster's in-process store, or, in
+// spcache_masterd, the RPC store whose puts are kPutBlock envelopes to
+// the surviving workers.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -25,6 +33,7 @@
 #include <vector>
 
 #include "cluster/cache_server.h"
+#include "cluster/client_seam.h"
 #include "cluster/master.h"
 #include "common/units.h"
 
@@ -65,18 +74,35 @@ struct RecoveryStats {
 
 class RecoveryManager {
  public:
+  // Liveness verdict for one server: true = it is up. The threaded
+  // cluster asks CacheServer::alive; masterd asks its HealthMonitor's
+  // cached heartbeat state.
+  using LivenessFn = std::function<bool(std::uint32_t server)>;
+
+  // Threaded cluster: an in-process PieceStore over `cluster`, liveness
+  // from Cluster::is_alive.
   RecoveryManager(Cluster& cluster, Master& master, StableStore& stable);
+  // Any deployment: lost pieces are re-put through `store` onto servers
+  // 0..n_servers-1 that `is_alive` reports up.
+  RecoveryManager(PieceStore& store, Master& master, StableStore& stable, std::size_t n_servers,
+                  LivenessFn is_alive);
 
   // Scan the file's layout and re-create any missing pieces from stable
-  // storage. Keeps surviving pieces in place; lost pieces are rewritten to
-  // their original servers if alive (a piece whose server is down is
-  // skipped — that is repair_after_server_loss territory). Returns the
-  // stats; throws std::runtime_error if the file was never checkpointed.
+  // storage. Keeps surviving pieces in place; a piece on a live server
+  // that does not arrive when fetched (absent, unreadable, or failing its
+  // checksum) is rewritten to that server under the current epoch; a
+  // piece whose server is down is skipped — that is
+  // repair_after_server_loss territory. Returns the stats; throws
+  // std::runtime_error if the file was never checkpointed or its stable
+  // copy does not match the cached file.
   RecoveryStats repair_file(FileId id);
 
   // Handle a whole-server loss: for every file with a piece on `server`,
-  // move that piece's slot to the least-loaded *live* server not already
-  // holding the file, then repair from stable storage.
+  // move that piece's slot to the least-loaded live server not already
+  // holding the file — or, when every live server already holds it (a
+  // cluster smaller than the file's partition count), co-locate it on the
+  // least-loaded live survivor — then re-put the lost slices from stable
+  // storage stamped with the next layout epoch, and publish the new layout.
   //
   // Safe to run while readers are in flight and safe to run twice (e.g.
   // two HealthMonitor ticks racing): each file is handled under its
@@ -85,9 +111,10 @@ class RecoveryManager {
   // skipped; and replacement pieces are written to their new servers
   // *before* the layout is published, so a reader holding the new layout
   // always finds the bytes (readers holding the old layout retry and pick
-  // up the new one). Files without a matching stable copy, or with no
-  // live replacement server, are skipped and counted in files_skipped
-  // rather than aborting the sweep.
+  // up the new one). A file is skipped and counted in files_skipped,
+  // never aborting the sweep, when its stable copy is missing or does not
+  // match the layout's size and CRC, when no live server is left, or when
+  // a put fails (the old layout stays; the next sweep retries).
   RecoveryStats repair_after_server_loss(std::uint32_t failed_server);
 
   // --- Observability (src/obs) ----------------------------------------
@@ -109,9 +136,12 @@ class RecoveryManager {
   // Fold one repair's stats into the attached probes (no-op when detached).
   void record_repair(const RecoveryStats& stats);
 
-  Cluster& cluster_;
+  std::unique_ptr<PieceStore> owned_store_;  // the Cluster& constructor's
+  PieceStore& store_;
   Master& master_;
   StableStore& stable_;
+  std::size_t n_servers_;
+  LivenessFn is_alive_;
   std::unique_ptr<ObsProbes> probes_storage_;
   std::atomic<ObsProbes*> probes_{nullptr};
 };

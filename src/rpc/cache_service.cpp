@@ -220,6 +220,22 @@ MasterService::MasterService(Bus& bus, NodeId node_id) {
     write_meta(w, *meta);
     return w.take();
   });
+  node_->handle(kPeekFile, [this](BufferReader& r) {
+    const auto id = static_cast<FileId>(r.u32());
+    const auto meta = master_.peek(id);
+    if (!meta) throw std::runtime_error("unknown file");
+    BufferWriter w;
+    write_meta(w, *meta);
+    return w.take();
+  });
+  node_->handle(kSwapLayout, [this](BufferReader& r) {
+    const auto id = static_cast<FileId>(r.u32());
+    const std::uint64_t expected_epoch = r.u64();
+    FileMeta meta = read_meta(r);
+    BufferWriter w;
+    w.u8(master_.update_file_if(id, std::move(meta), expected_epoch) ? 1 : 0);
+    return w.take();
+  });
   node_->handle(kLookupBatch, [this](BufferReader& r) {
     const std::uint32_t count = r.count(4);
     BufferWriter w;
@@ -294,11 +310,8 @@ Reply await_reply(RpcNode& node, RpcNode::PendingCall& call, std::chrono::millis
   return lost;
 }
 
-// The RPC PieceStore: kPutBlock fan-out on write; on fetch one
-// kGetBlockMulti per destination worker carrying every requested piece
-// that lives there, or — the `coalesce = false` baseline — one kGetBlock
-// per piece. Delivered views point into the reply payloads, which the
-// views' owner keeps alive.
+// The RPC PieceStore (see make_rpc_piece_store). Delivered views point
+// into the reply payloads, which the views' owner keeps alive.
 class RpcPieceStore final : public PieceStore {
  public:
   RpcPieceStore(Bus& bus, RpcNode& node, std::vector<NodeId> worker_of_server,
@@ -310,22 +323,26 @@ class RpcPieceStore final : public PieceStore {
         coalesce_(coalesce) {}
 
   void put(FileId id, std::span<const std::span<const std::uint8_t>> pieces,
-           const std::vector<std::uint32_t>& servers, std::uint64_t epoch) override {
-    std::vector<std::future<Reply>> puts;
+           const std::vector<std::uint32_t>& servers, std::uint64_t epoch,
+           std::span<const std::uint32_t> piece_ids) override {
+    std::vector<RpcNode::PendingCall> puts;
     puts.reserve(pieces.size());
     for (std::size_t i = 0; i < pieces.size(); ++i) {
       BufferWriter w;
       w.reserve(4 + 4 + 4 + pieces[i].size() + 8);  // whole PUT frame, one allocation
       w.u32(id);
-      w.u32(static_cast<std::uint32_t>(i));
+      w.u32(piece_ids.empty() ? static_cast<std::uint32_t>(i) : piece_ids[i]);
       w.bytes(pieces[i]);
       w.u64(epoch);
-      puts.push_back(node_.call(worker_of_server_.at(servers[i]), kPutBlock, w.take()));
+      puts.push_back(node_.call_tagged(worker_of_server_.at(servers[i]), kPutBlock, w.take()));
     }
-    for (auto& f : puts) {
-      const auto reply = f.get();
-      if (!reply.ok()) throw std::runtime_error("PUT failed: " + reply.error_text());
+    // Drain every call before throwing, so no slot outlives this frame.
+    std::string failure;
+    for (auto& call : puts) {
+      const auto reply = await_reply(node_, call, timeout_);
+      if (!reply.ok() && failure.empty()) failure = "PUT failed: " + reply.error_text();
     }
+    if (!failure.empty()) throw std::runtime_error(failure);
   }
 
   bool fetch(FileId id, const FileMeta& layout, std::span<const std::uint32_t> pieces,
@@ -375,7 +392,101 @@ class RpcPieceStore final : public PieceStore {
     return current;
   }
 
+  bool stage(FileId id, const PieceAssembly& piece, std::uint64_t epoch) override {
+    // Only remote ranges carry payload, each relayed straight from its
+    // source worker to the destination — never accumulated beyond one range.
+    const NodeId dst = worker_of_server_.at(piece.dst_server);
+    Bytes filled = 0;
+    for (const auto& range : piece.sources) {
+      BufferWriter w;
+      Reply staged;
+      if (range.local) {
+        stage_header(w, id, piece.new_piece, epoch, kStageOpLocalCopy);
+        w.u64(piece.piece_size);
+        w.u64(filled);
+        w.u32(range.old_piece);
+        w.u64(range.offset_in_piece);
+        w.u64(range.length);
+        staged = call_with_attempts(dst, kStagePiece, w.take());
+      } else {
+        BufferWriter g;
+        g.u32(id);
+        g.u32(range.old_piece);
+        g.u64(range.offset_in_piece);
+        g.u64(range.length);
+        const auto got = call_with_attempts(worker_of_server_.at(range.src_server), kGetRange,
+                                            g.take());
+        if (!got.ok()) return false;
+        BufferReader pr(got.payload);
+        const auto bytes = pr.bytes_view();
+        w.reserve(4 + 4 + 8 + 1 + 8 + 8 + 4 + bytes.size());
+        stage_header(w, id, piece.new_piece, epoch, kStageOpAppend);
+        w.u64(piece.piece_size);
+        w.u64(filled);
+        w.bytes(bytes);
+        staged = node_.call_sync(dst, kStagePiece, w.take(), timeout_);
+      }
+      if (!succeeded(staged)) return false;
+      filled += range.length;
+    }
+    return stage_op(id, piece.new_piece, piece.dst_server, epoch, kStageOpFinalize);
+  }
+
+  bool publish_staged(FileId id, std::uint32_t piece, std::uint32_t server,
+                      std::uint64_t epoch) override {
+    return stage_op(id, piece, server, epoch, kStageOpPublish);
+  }
+
+  void discard_staged(FileId id, std::uint32_t piece, std::uint32_t server,
+                      std::uint64_t epoch) override {
+    (void)stage_op(id, piece, server, epoch, kStageOpDiscard);
+  }
+
+  void erase(FileId id, std::uint32_t piece, std::uint32_t server) override {
+    BufferWriter w;
+    w.u32(id);
+    w.u32(piece);
+    (void)node_.call_sync(worker_of_server_.at(server), kEraseBlock, w.take(), timeout_);
+  }
+
  private:
+  static void stage_header(BufferWriter& w, FileId id, std::uint32_t piece, std::uint64_t epoch,
+                           std::uint8_t op) {
+    w.u32(id);
+    w.u32(piece);
+    w.u64(epoch);
+    w.u8(op);
+  }
+
+  // A kStagePiece reply is a u8 success flag.
+  static bool succeeded(const Reply& reply) {
+    if (!reply.ok()) return false;
+    BufferReader r(reply.payload);
+    return r.u8() != 0;
+  }
+
+  // A body-less kStagePiece op (finalize, publish, discard).
+  bool stage_op(FileId id, std::uint32_t piece, std::uint32_t server, std::uint64_t epoch,
+                std::uint8_t op) {
+    BufferWriter w;
+    stage_header(w, id, piece, epoch, op);
+    return succeeded(node_.call_sync(worker_of_server_.at(server), kStagePiece, w.take(),
+                                     timeout_));
+  }
+
+  // A range read (kGetRange, or the worker-local read of
+  // kStageOpLocalCopy) with kRangeFetchAttempts tries. Retrying a local
+  // copy is safe: a repeat of a range that did land is refused, because
+  // ranges must arrive in offset order.
+  Reply call_with_attempts(NodeId to, MethodId method, std::vector<std::uint8_t> request) {
+    Reply reply;
+    for (int attempt = 1; attempt <= kRangeFetchAttempts; ++attempt) {
+      reply = node_.call_sync(to, method, request, timeout_);
+      if (reply.ok()) break;
+    }
+    return reply;
+  }
+
   Bus& bus_;
   RpcNode& node_;
   std::vector<NodeId> worker_of_server_;
@@ -383,9 +494,9 @@ class RpcPieceStore final : public PieceStore {
   bool coalesce_;
 };
 
-// The RPC LayoutService: the MasterService's methods. The master hosts
+// The RPC LayoutService (see make_rpc_layout_service). The master hosts
 // the deployment's stable tier, fed by checkpoint() (kPutStable); there is
-// no read-side restore over the wire — the RpcRecoveryCoordinator repairs
+// no read-side restore over the wire — masterd's RecoveryManager repairs
 // lost pieces from it instead.
 class RpcLayoutService final : public LayoutService {
  public:
@@ -405,6 +516,15 @@ class RpcLayoutService final : public LayoutService {
     return LookupStatus::kFound;
   }
 
+  std::optional<FileMeta> peek(FileId id) override {
+    BufferWriter w;
+    w.u32(id);
+    const auto reply = node_.call_sync(master_, kPeekFile, w.take(), timeout_);
+    if (!reply.ok()) return std::nullopt;
+    BufferReader r(reply.payload);
+    return read_meta(r);
+  }
+
   std::uint64_t epoch(FileId id) override {
     BufferWriter w;
     w.u32(id);
@@ -422,6 +542,22 @@ class RpcLayoutService final : public LayoutService {
     if (!reply.ok()) throw std::runtime_error("REGISTER failed: " + reply.error_text());
     BufferReader r(reply.payload);
     return r.u64();
+  }
+
+  bool cutover(FileId id, std::uint64_t expected_epoch, const FileMeta& next,
+               const std::function<bool()>& splice) override {
+    // The early check keeps a file that is already outraced from splicing
+    // over the newer layout's pieces; kSwapLayout closes the window the
+    // splice itself leaves open.
+    if (epoch(id) != expected_epoch || !splice()) return false;
+    BufferWriter w;
+    w.u32(id);
+    w.u64(expected_epoch);
+    write_meta(w, next);
+    const auto reply = node_.call_sync(master_, kSwapLayout, w.take(), timeout_);
+    if (!reply.ok()) return false;
+    BufferReader r(reply.payload);
+    return r.u8() != 0;
   }
 
   std::optional<std::uint64_t> report_access(
@@ -462,6 +598,18 @@ constexpr std::chrono::milliseconds kEcTimeout{5000};
 
 }  // namespace
 
+std::unique_ptr<PieceStore> make_rpc_piece_store(Bus& bus, RpcNode& node,
+                                                 std::vector<NodeId> worker_of_server,
+                                                 std::chrono::milliseconds timeout, bool coalesce) {
+  return std::make_unique<RpcPieceStore>(bus, node, std::move(worker_of_server), timeout,
+                                         coalesce);
+}
+
+std::unique_ptr<LayoutService> make_rpc_layout_service(RpcNode& node, NodeId master,
+                                                       std::chrono::milliseconds timeout) {
+  return std::make_unique<RpcLayoutService>(node, master, timeout);
+}
+
 RpcSpClient::RpcSpClient(Bus& bus, NodeId node_id, NodeId master_node,
                          std::vector<NodeId> worker_of_server, fault::RetryPolicy retry,
                          std::chrono::milliseconds rpc_timeout, ClientCacheConfig cache)
@@ -469,10 +617,9 @@ RpcSpClient::RpcSpClient(Bus& bus, NodeId node_id, NodeId master_node,
       master_node_(master_node),
       rpc_timeout_(rpc_timeout),
       single_flight_(cache.single_flight),
-      engine_(std::make_unique<RpcPieceStore>(bus, *node_, std::move(worker_of_server),
-                                              rpc_timeout, cache.coalesce),
-              std::make_unique<RpcLayoutService>(*node_, master_node, rpc_timeout), retry,
-              cache) {}
+      engine_(make_rpc_piece_store(bus, *node_, std::move(worker_of_server), rpc_timeout,
+                                   cache.coalesce),
+              make_rpc_layout_service(*node_, master_node, rpc_timeout), retry, cache) {}
 
 std::size_t RpcSpClient::prefetch_layouts(const std::vector<FileId>& ids) {
   if (!engine_.caches_layouts() || ids.empty()) return 0;
@@ -570,8 +717,7 @@ std::uint64_t RpcSpClient::access_count(FileId id) {
 RpcEcClient::RpcEcClient(Bus& bus, NodeId node_id, NodeId master_node,
                          std::vector<NodeId> worker_of_server, std::size_t k, std::size_t n)
     : node_(started_node(bus, node_id, "ec-client-")),
-      engine_(std::make_unique<RpcPieceStore>(bus, *node_, std::move(worker_of_server), kEcTimeout,
-                                              ClientCacheConfig{}.coalesce),
-              std::make_unique<RpcLayoutService>(*node_, master_node, kEcTimeout), k, n) {}
+      engine_(make_rpc_piece_store(bus, *node_, std::move(worker_of_server), kEcTimeout),
+              make_rpc_layout_service(*node_, master_node, kEcTimeout), k, n) {}
 
 }  // namespace spcache::rpc

@@ -1,9 +1,12 @@
 // The SP-Cache components as RPC services (Fig. 9, over the in-process
-// bus): cache workers expose block put/get/erase, the SP-Master exposes
-// registration and layout lookup, and the RPC SP/EC clients run the
-// paper's read/write flows purely through messages — every byte and every
-// piece of metadata crosses a serialization boundary, exactly as in the
-// networked deployment.
+// bus): cache workers expose block put/get/erase and staged assembly, the
+// SP-Master exposes registration, layout lookup and the compare-and-swap
+// cutover, and the RPC implementation of the client seam
+// (make_rpc_piece_store / make_rpc_layout_service) runs the repo's one SP
+// and EC client, its one delta repartitioner and its one RecoveryManager
+// purely through messages — every byte and every piece of metadata
+// crosses a serialization boundary, exactly as in the networked
+// deployment.
 //
 // Node-id convention: master = 0, workers = 1..N, monitor = 900,
 // clients >= 1000.
@@ -49,6 +52,11 @@ inline constexpr MethodId kLookupBatch = 14;   // many kLookupFile in one envelo
 inline constexpr MethodId kReportAccess = 15;  // batched per-file access-count deltas
 inline constexpr MethodId kPing = 16;          // liveness probe; echoes the sent token
 inline constexpr MethodId kPutStable = 17;     // checkpoint a whole file (master's StableStore)
+inline constexpr MethodId kPeekFile = 18;      // kLookupFile without the access-count bump
+// Compare-and-swap publish: file u32, expected epoch u64, then the layout
+// (write_meta). The master swaps only if the file is still at the expected
+// epoch (Master::update_file_if). Reply: u8 swapped.
+inline constexpr MethodId kSwapLayout = 19;
 
 // kStagePiece sub-operations. Common request header: file u32, piece u32,
 // epoch u64, op u8; then per op:
@@ -113,8 +121,9 @@ class CacheWorkerService {
 // The SP-Master as a service over the metadata Master. It also hosts the
 // deployment's StableStore (the checkpointed tier the paper assumes under
 // the cache): clients kPutStable whole files after a write, and the
-// RpcRecoveryCoordinator restores lost pieces from it after a worker
-// death — so degraded reads stay bit-exact without cache-level replicas.
+// RecoveryManager that spcache_masterd runs next to it restores lost
+// pieces from it after a worker death — so degraded reads stay bit-exact
+// without cache-level replicas.
 class MasterService {
  public:
   MasterService(Bus& bus, NodeId node_id = kMasterNode);
@@ -128,6 +137,24 @@ class MasterService {
   StableStore stable_;
   std::unique_ptr<RpcNode> node_;
 };
+
+// The RPC seam (cluster/client_seam.h), for the clients below, the
+// SP-Repartitioners and masterd's RecoveryManager. Calls go out through
+// `node`, which must be started; every call waits at most `timeout`.
+//
+// The PieceStore fans puts out as kPutBlock; fetches send one
+// kGetBlockMulti per destination worker carrying every requested piece
+// that lives there, or — the `coalesce = false` baseline — one kGetBlock
+// per piece; staged assembly is kStagePiece (kStageOpLocalCopy for ranges
+// already on the destination, a kGetRange→kStageOpAppend relay for remote
+// ones, then kStageOpFinalize). The LayoutService is the MasterService's
+// methods; it has no read-side restore (restore() returns nullopt).
+std::unique_ptr<PieceStore> make_rpc_piece_store(Bus& bus, RpcNode& node,
+                                                 std::vector<NodeId> worker_of_server,
+                                                 std::chrono::milliseconds timeout,
+                                                 bool coalesce = true);
+std::unique_ptr<LayoutService> make_rpc_layout_service(RpcNode& node, NodeId master,
+                                                       std::chrono::milliseconds timeout);
 
 // What an RPC read went through to complete (degraded-read telemetry).
 struct RpcReadStats {

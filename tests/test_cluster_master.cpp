@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/client_seam.h"
 #include "common/thread_pool.h"
 
 namespace spcache {
@@ -54,6 +55,58 @@ TEST(Master, UpdatePreservesCounts) {
   m.update_file(3, make_meta(2 * kKB, {1, 2}));
   EXPECT_EQ(m.access_count(3), 1u);
   EXPECT_EQ(m.peek(3)->partitions(), 2u);
+}
+
+TEST(Master, UpdateFileIfRefusesStaleEpoch) {
+  Master m;
+  m.register_file(4, make_meta(kKB, {0}));
+  const std::uint64_t stale = m.file_epoch(4);
+  m.update_file(4, make_meta(kKB, {1}));  // another writer lands a layout
+  const auto current = m.peek(4);
+
+  EXPECT_FALSE(m.update_file_if(4, make_meta(2 * kKB, {2, 3}), stale));
+  const auto after = m.peek(4);
+  EXPECT_EQ(after->servers, current->servers);
+  EXPECT_EQ(after->size, current->size);
+  EXPECT_EQ(after->epoch, current->epoch);
+  EXPECT_FALSE(m.update_file_if(9, make_meta(kKB, {0}), 0));  // unknown file
+
+  // At the current epoch the swap lands, one epoch on.
+  EXPECT_TRUE(m.update_file_if(4, make_meta(2 * kKB, {2, 3}), current->epoch));
+  EXPECT_EQ(m.peek(4)->servers, (std::vector<std::uint32_t>{2, 3}));
+  EXPECT_EQ(m.file_epoch(4), current->epoch + 1);
+}
+
+TEST(Master, InprocCutoverRefusesAWriteLandingDuringTheSplice) {
+  Master m;
+  m.register_file(5, make_meta(kKB, {0}));
+  const auto layouts = make_inproc_layout_service(m, nullptr);
+  const auto before = m.peek(5);
+  auto next = make_meta(kKB, {2, 3});
+  next.epoch = before->epoch + 1;
+
+  // Stale from the start: refused before the splice runs.
+  bool spliced = false;
+  EXPECT_FALSE(layouts->cutover(5, before->epoch + 7, next, [&] { return spliced = true; }));
+  EXPECT_FALSE(spliced);
+
+  // A client write takes no guard: landing during the splice, it must
+  // still win over the cutover's swap.
+  EXPECT_FALSE(layouts->cutover(5, before->epoch, next, [&] {
+    m.update_file(5, make_meta(kKB, {1}));
+    return true;
+  }));
+  EXPECT_EQ(m.peek(5)->servers, std::vector<std::uint32_t>{1});
+  EXPECT_EQ(m.file_epoch(5), before->epoch + 1);
+
+  // A failed splice swaps nothing either.
+  EXPECT_FALSE(layouts->cutover(5, m.file_epoch(5), next, [] { return false; }));
+  EXPECT_EQ(m.peek(5)->servers, std::vector<std::uint32_t>{1});
+
+  next.epoch = m.file_epoch(5) + 1;
+  EXPECT_TRUE(layouts->cutover(5, m.file_epoch(5), next, [] { return true; }));
+  EXPECT_EQ(m.peek(5)->servers, (std::vector<std::uint32_t>{2, 3}));
+  EXPECT_EQ(m.file_epoch(5), before->epoch + 2);
 }
 
 TEST(Master, RemoveFile) {

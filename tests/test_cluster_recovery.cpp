@@ -1,11 +1,18 @@
 // Stable-store checkpointing and failure recovery tests (Section 8
 // "Fault Tolerance" extension).
+//
+// The RecoveryManager is the one repair coordinator of both deployments,
+// so every repair case runs twice: over the threaded cluster (its Cluster&
+// constructor), and over the RPC PieceStore against CacheWorkerServices
+// on an InprocTransport bus, with the MasterService's Master and stable
+// tier — the configuration spcache_masterd runs.
 #include "cluster/stable_store.h"
 
 #include <gtest/gtest.h>
 
 #include "cluster/client.h"
 #include "core/sp_cache.h"
+#include "rpc/cache_service.h"
 
 namespace spcache {
 namespace {
@@ -16,31 +23,7 @@ std::vector<std::uint8_t> random_bytes(std::size_t n, Rng& rng) {
   return v;
 }
 
-class RecoveryTest : public ::testing::Test {
- protected:
-  void populate(std::size_t n_files, Bytes size) {
-    catalog_ = make_uniform_catalog(n_files, size, 1.05, 10.0);
-    SpCacheScheme sp;
-    sp.place(catalog_, cluster_.bandwidths(), rng_);
-    SpClient client(cluster_, master_, pool_);
-    originals_.resize(n_files);
-    for (FileId f = 0; f < n_files; ++f) {
-      originals_[f] = random_bytes(size, rng_);
-      client.write(f, originals_[f], sp.placement(f).servers);
-      stable_.checkpoint(f, originals_[f]);  // Alluxio-style checkpoint
-    }
-  }
-
-  Cluster cluster_{30, gbps(1.0)};
-  Master master_;
-  ThreadPool pool_{4};
-  StableStore stable_;
-  Rng rng_{77};
-  Catalog catalog_;
-  std::vector<std::vector<std::uint8_t>> originals_;
-};
-
-TEST_F(RecoveryTest, StableStoreRoundtrip) {
+TEST(StableStore, Roundtrip) {
   Rng rng(1);
   const auto data = random_bytes(123456, rng);
   StableStore store;
@@ -53,83 +36,237 @@ TEST_F(RecoveryTest, StableStoreRoundtrip) {
   EXPECT_FALSE(store.restore(10).has_value());
 }
 
-TEST_F(RecoveryTest, RepairSingleLostPiece) {
+enum class Deployment { kInproc, kRpc };
+
+class RecoveryTest : public ::testing::TestWithParam<Deployment> {
+ protected:
+  bool rpc() const { return GetParam() == Deployment::kRpc; }
+
+  // Bring up `n_servers` cache servers in this test's deployment.
+  void start(std::uint32_t n_servers) {
+    cluster_ = std::make_unique<Cluster>(n_servers, gbps(1.0));
+    if (!rpc()) return;
+    master_service_ = std::make_unique<rpc::MasterService>(bus_);
+    for (std::uint32_t s = 0; s < n_servers; ++s) {
+      workers_.push_back(std::make_unique<rpc::CacheWorkerService>(
+          bus_, rpc::kFirstWorkerNode + s, s, gbps(1.0)));
+      worker_nodes_.push_back(workers_.back()->node_id());
+    }
+    repair_node_ = std::make_unique<rpc::RpcNode>(bus_, rpc::kMonitorNode, "repair");
+    repair_node_->start();
+    repair_store_ = rpc::make_rpc_piece_store(bus_, *repair_node_, worker_nodes_,
+                                              std::chrono::milliseconds(1000));
+  }
+
+  Master& master() { return rpc() ? master_service_->master() : master_; }
+  // The deployment's stable tier: the one masterd hosts over RPC.
+  StableStore& stable() { return rpc() ? master_service_->stable() : stable_; }
+  CacheServer& server(std::uint32_t s) {
+    return rpc() ? workers_[s]->store() : cluster_->server(s);
+  }
+
+  // A RecoveryManager over `stable` (the deployment's own tier by default).
+  RecoveryManager& recovery(StableStore* stable = nullptr) {
+    StableStore& tier = stable ? *stable : this->stable();
+    if (rpc()) {
+      managers_.push_back(std::make_unique<RecoveryManager>(
+          *repair_store_, master(), tier, workers_.size(),
+          [this](std::uint32_t s) { return server(s).alive(); }));
+    } else {
+      managers_.push_back(std::make_unique<RecoveryManager>(*cluster_, master_, tier));
+    }
+    return *managers_.back();
+  }
+
+  // A new client with a cold layout cache.
+  SpClient& client() {
+    if (!rpc()) {
+      inproc_clients_.push_back(std::make_unique<SpClient>(*cluster_, master_, pool_));
+      return *inproc_clients_.back();
+    }
+    const auto node = rpc::kFirstClientNode + static_cast<rpc::NodeId>(rpc_clients_.size());
+    rpc_clients_.push_back(
+        std::make_unique<rpc::RpcSpClient>(bus_, node, rpc::kMasterNode, worker_nodes_));
+    return rpc_clients_.back()->engine();
+  }
+
+  void populate(std::size_t n_files, Bytes size) {
+    catalog_ = make_uniform_catalog(n_files, size, 1.05, 10.0);
+    SpCacheScheme sp;
+    sp.place(catalog_, cluster_->bandwidths(), rng_);
+    SpClient& writer = client();
+    originals_.resize(n_files);
+    for (FileId f = 0; f < n_files; ++f) {
+      originals_[f] = random_bytes(size, rng_);
+      writer.write(f, originals_[f], sp.placement(f).servers);
+      stable().checkpoint(f, originals_[f]);  // Alluxio-style checkpoint
+    }
+  }
+
+  std::unique_ptr<Cluster> cluster_;
+  Master master_;
+  ThreadPool pool_{4};
+  StableStore stable_;
+  rpc::Bus bus_;
+  std::unique_ptr<rpc::MasterService> master_service_;
+  std::vector<std::unique_ptr<rpc::CacheWorkerService>> workers_;
+  std::vector<rpc::NodeId> worker_nodes_;
+  std::unique_ptr<rpc::RpcNode> repair_node_;
+  std::unique_ptr<PieceStore> repair_store_;
+  std::vector<std::unique_ptr<RecoveryManager>> managers_;
+  std::vector<std::unique_ptr<SpClient>> inproc_clients_;
+  std::vector<std::unique_ptr<rpc::RpcSpClient>> rpc_clients_;
+  Rng rng_{77};
+  Catalog catalog_;
+  std::vector<std::vector<std::uint8_t>> originals_;
+};
+
+TEST_P(RecoveryTest, RepairSingleLostPiece) {
+  start(30);
   populate(10, 200 * kKB);
-  RecoveryManager recovery(cluster_, master_, stable_);
-  const auto meta = master_.peek(0);
+  RecoveryManager& rec = recovery();
+  const auto meta = master().peek(0);
   ASSERT_GE(meta->partitions(), 2u);
   // Lose one piece.
-  cluster_.server(meta->servers[1]).erase(BlockKey{0, 1});
-  SpClient client(cluster_, master_, pool_);
-  EXPECT_THROW(client.read(0), std::runtime_error);
+  server(meta->servers[1]).erase(BlockKey{0, 1});
+  SpClient& reader = client();
+  EXPECT_THROW(reader.read(0), std::runtime_error);
 
-  const auto stats = recovery.repair_file(0);
+  const auto stats = rec.repair_file(0);
   EXPECT_EQ(stats.pieces_recovered, 1u);
   EXPECT_EQ(stats.bytes_restored, 200 * kKB);
   EXPECT_GT(stats.modelled_time, 0.0);
-  EXPECT_EQ(client.read(0).bytes, originals_[0]);
+  EXPECT_EQ(reader.read(0).bytes, originals_[0]);
 }
 
-TEST_F(RecoveryTest, RepairIsIdempotent) {
+TEST_P(RecoveryTest, RepairIsIdempotent) {
+  start(30);
   populate(5, 100 * kKB);
-  RecoveryManager recovery(cluster_, master_, stable_);
-  const auto stats = recovery.repair_file(2);  // nothing missing
+  const auto stats = recovery().repair_file(2);  // nothing missing
   EXPECT_EQ(stats.pieces_recovered, 0u);
   EXPECT_EQ(stats.bytes_restored, 0u);
 }
 
-TEST_F(RecoveryTest, RepairUncheckpointedFileThrows) {
+TEST_P(RecoveryTest, RepairUncheckpointedFileThrows) {
+  start(30);
   populate(3, 100 * kKB);
   StableStore empty;
-  RecoveryManager recovery(cluster_, master_, empty);
-  const auto meta = master_.peek(0);
-  cluster_.server(meta->servers[0]).erase(BlockKey{0, 0});
-  EXPECT_THROW(recovery.repair_file(0), std::runtime_error);
+  RecoveryManager& rec = recovery(&empty);
+  const auto meta = master().peek(0);
+  server(meta->servers[0]).erase(BlockKey{0, 0});
+  EXPECT_THROW(rec.repair_file(0), std::runtime_error);
 }
 
-TEST_F(RecoveryTest, WholeServerLossRecovered) {
+TEST_P(RecoveryTest, WholeServerLossRecovered) {
+  start(30);
   populate(20, 150 * kKB);
-  RecoveryManager recovery(cluster_, master_, stable_);
 
   // Crash server 5: all its blocks vanish.
   const std::uint32_t failed = 5;
-  cluster_.server(failed).clear();
-  const auto stats = recovery.repair_after_server_loss(failed);
+  server(failed).clear();
+  const auto stats = recovery().repair_after_server_loss(failed);
   EXPECT_GT(stats.pieces_recovered, 0u);
 
   // Every file is readable and bit-exact; nothing lives on the dead server.
-  SpClient client(cluster_, master_, pool_);
+  SpClient& reader = client();
   for (FileId f = 0; f < 20; ++f) {
-    EXPECT_EQ(client.read(f).bytes, originals_[f]) << "file " << f;
-    const auto meta = master_.peek(f);
+    EXPECT_EQ(reader.read(f).bytes, originals_[f]) << "file " << f;
+    const auto meta = master().peek(f);
     for (std::uint32_t s : meta->servers) EXPECT_NE(s, failed);
   }
-  EXPECT_EQ(cluster_.server(failed).blocks_stored(), 0u);
+  EXPECT_EQ(server(failed).blocks_stored(), 0u);
 }
 
-TEST_F(RecoveryTest, ServerLossReplacementsSpread) {
+TEST_P(RecoveryTest, ServerLossReplacementsSpread) {
+  start(30);
   populate(30, 100 * kKB);
-  RecoveryManager recovery(cluster_, master_, stable_);
-  cluster_.server(0).clear();
-  recovery.repair_after_server_loss(0);
+  server(0).clear();
+  recovery().repair_after_server_loss(0);
   // The re-placed pieces should not all pile onto one replacement server.
-  std::vector<std::size_t> pieces(cluster_.size(), 0);
+  std::vector<std::size_t> pieces(cluster_->size(), 0);
   for (FileId f = 0; f < 30; ++f) {
-    const auto meta = master_.peek(f);
+    const auto meta = master().peek(f);
     for (std::uint32_t s : meta->servers) ++pieces[s];
   }
   std::size_t mx = 0, total = 0;
-  for (std::size_t s = 1; s < cluster_.size(); ++s) {
+  for (std::size_t s = 1; s < cluster_->size(); ++s) {
     mx = std::max(mx, pieces[s]);
     total += pieces[s];
   }
-  const double avg = static_cast<double>(total) / static_cast<double>(cluster_.size() - 1);
+  const double avg = static_cast<double>(total) / static_cast<double>(cluster_->size() - 1);
   // Discreteness dominates with ~2 pieces/server; allow a small absolute
   // slack over the average rather than a tight multiplicative bound.
   EXPECT_LE(static_cast<double>(mx), avg + 4.0);
 }
 
-TEST_F(RecoveryTest, RecoveryTimeScalesWithBackingBandwidth) {
+TEST_P(RecoveryTest, ServerLossRepairIsIdempotent) {
+  start(30);
+  populate(20, 150 * kKB);
+  const std::uint32_t failed = 5;
+  server(failed).clear();
+  RecoveryManager& rec = recovery();
+  ASSERT_GT(rec.repair_after_server_loss(failed).pieces_recovered, 0u);
+  std::vector<FileMeta> repaired;
+  for (FileId f = 0; f < 20; ++f) repaired.push_back(*master().peek(f));
+
+  // A second sweep (a racing heartbeat round) finds nothing left to do.
+  const auto again = rec.repair_after_server_loss(failed);
+  EXPECT_EQ(again.pieces_recovered, 0u);
+  EXPECT_EQ(again.files_skipped, 0u);
+  EXPECT_EQ(again.bytes_restored, 0u);
+  SpClient& reader = client();
+  for (FileId f = 0; f < 20; ++f) {
+    const auto meta = master().peek(f);
+    EXPECT_EQ(meta->servers, repaired[f].servers) << "file " << f;
+    EXPECT_EQ(meta->epoch, repaired[f].epoch) << "file " << f;
+    EXPECT_EQ(reader.read(f).bytes, originals_[f]) << "file " << f;
+  }
+}
+
+TEST_P(RecoveryTest, StaleStableCopyIsSkipped) {
+  start(30);
+  populate(1, 400 * kKB);
+  // The stable tier holds an older, shorter checkpoint of the file: its
+  // slices are not the cached file's pieces, and cutting the 400 KiB
+  // layout out of 16 KiB would read far past the copy.
+  stable().checkpoint(0, std::span(originals_[0]).first(16 * kKB));
+  const auto before = master().peek(0);
+  const std::uint32_t victim = before->servers[0];
+  server(victim).kill();
+
+  const auto stats = recovery().repair_after_server_loss(victim);
+  EXPECT_EQ(stats.files_skipped, 1u);
+  EXPECT_EQ(stats.pieces_recovered, 0u);
+  EXPECT_EQ(stats.bytes_restored, 0u);
+  const auto after = master().peek(0);
+  EXPECT_EQ(after->servers, before->servers);
+  EXPECT_EQ(after->piece_sizes, before->piece_sizes);
+  EXPECT_EQ(after->epoch, before->epoch);
+  server(victim).revive();
+}
+
+TEST_P(RecoveryTest, TwoServerClusterCoLocatesTheLostPiece) {
+  // Every live server already holds the file: the lost piece moves onto
+  // the survivor rather than staying unrepaired.
+  start(2);
+  const auto data = random_bytes(64 * kKB, rng_);
+  client().write(0, data, {0, 1});
+  stable().checkpoint(0, data);
+  const auto before = master().peek(0);
+  server(1).kill();
+
+  const auto stats = recovery().repair_after_server_loss(1);
+  EXPECT_EQ(stats.pieces_recovered, 1u);
+  EXPECT_EQ(stats.files_skipped, 0u);
+  const auto after = master().peek(0);
+  EXPECT_EQ(after->servers, (std::vector<std::uint32_t>{0, 0}));
+  EXPECT_EQ(after->epoch, before->epoch + 1);
+  EXPECT_EQ(client().read(0).bytes, data);
+  server(1).revive();
+}
+
+TEST_P(RecoveryTest, RecoveryTimeScalesWithBackingBandwidth) {
+  start(30);
   populate(5, 500 * kKB);
   StableStore slow(mbps(100));
   StableStore fast(mbps(1000));
@@ -137,16 +274,20 @@ TEST_F(RecoveryTest, RecoveryTimeScalesWithBackingBandwidth) {
     slow.checkpoint(f, originals_[f]);
     fast.checkpoint(f, originals_[f]);
   }
-  const auto meta = master_.peek(1);
-  cluster_.server(meta->servers[0]).erase(BlockKey{1, 0});
-  RecoveryManager slow_rec(cluster_, master_, slow);
-  const auto s1 = slow_rec.repair_file(1);
+  const auto meta = master().peek(1);
+  server(meta->servers[0]).erase(BlockKey{1, 0});
+  const auto s1 = recovery(&slow).repair_file(1);
   // Re-erase and repair with the fast store.
-  cluster_.server(meta->servers[0]).erase(BlockKey{1, 0});
-  RecoveryManager fast_rec(cluster_, master_, fast);
-  const auto s2 = fast_rec.repair_file(1);
+  server(meta->servers[0]).erase(BlockKey{1, 0});
+  const auto s2 = recovery(&fast).repair_file(1);
   EXPECT_GT(s1.modelled_time, s2.modelled_time);
 }
+
+INSTANTIATE_TEST_SUITE_P(Deployments, RecoveryTest,
+                         ::testing::Values(Deployment::kInproc, Deployment::kRpc),
+                         [](const ::testing::TestParamInfo<Deployment>& info) {
+                           return info.param == Deployment::kInproc ? "Inproc" : "Rpc";
+                         });
 
 }  // namespace
 }  // namespace spcache

@@ -1,7 +1,8 @@
 // Metadata-light read path over RPC: epoch-validated layout caching
 // (kWrongEpoch convergence after a repartition), per-worker multi-GET
 // coalescing, single-flight dedup of concurrent same-file reads, batched
-// kReportAccess popularity, and kLookupBatch cache warmup.
+// kReportAccess popularity, kLookupBatch cache warmup, and the master's
+// compare-and-swap layout cutover.
 #include "rpc/cache_service.h"
 
 #include <gtest/gtest.h>
@@ -109,20 +110,22 @@ TEST_F(RpcMetadataTest, StaleCacheConvergesAfterRpcRepartition) {
   client_->write(3, data, {0, 1, 2});
   EXPECT_EQ(client_->read(3), data);
 
-  // Full Fig. 9b flow: a repartitioner assembles the file, erases the old
-  // pieces, re-splits onto {3, 4}, and registers the new layout.
+  // Fig. 9b flow: a repartitioner moves the file onto {3, 4} (no range is
+  // resident on its destination), publishes the new layout, and erases
+  // the old pieces.
   RepartitionerService repartitioner(bus_, kFirstRepartitionerNode, 3, kMasterNode,
                                      worker_nodes_);
   RpcNode coordinator(bus_, kFirstClientNode + 7, "coordinator");
   coordinator.start();
   BufferWriter w;
   w.u32(3);
-  w.u32(3);
-  for (std::uint32_t s : {0u, 1u, 2u}) w.u32(s);
   w.u32(2);
   for (std::uint32_t s : {3u, 4u}) w.u32(s);
-  const auto reply = coordinator.call_sync(repartitioner.node_id(), kRepartitionFile, w.take());
+  const auto reply =
+      coordinator.call_sync(repartitioner.node_id(), kDeltaRepartitionFile, w.take());
   ASSERT_TRUE(reply.ok()) << reply.error_text();
+  BufferReader published(reply.payload);
+  ASSERT_EQ(published.u8(), 1u);
 
   // The cached 3-piece layout is gone from the cluster; the read must
   // invalidate and converge on the 2-piece layout.
@@ -130,6 +133,35 @@ TEST_F(RpcMetadataTest, StaleCacheConvergesAfterRpcRepartition) {
   EXPECT_EQ(stats.bytes, data);
   EXPECT_GE(stats.passes, 2u);
   EXPECT_TRUE(client_->read_with_stats(3).layout_cached);
+}
+
+TEST_F(RpcMetadataTest, CutoverRefusesALayoutThatMovedDuringTheSplice) {
+  const auto data = random_bytes(40 * kKB, rng_);
+  client_->write(30, data, {0, 1});
+  RpcNode node(bus_, kFirstClientNode + 8, "cutover");
+  node.start();
+  const auto layouts = make_rpc_layout_service(node, kMasterNode, std::chrono::milliseconds(1000));
+  const auto before = master_->master().peek(30);
+  FileMeta next = *before;
+  next.servers = {2, 3};
+  next.epoch = before->epoch + 1;
+
+  // Stale from the start: refused before the splice runs.
+  bool spliced = false;
+  EXPECT_FALSE(layouts->cutover(30, before->epoch + 7, next, [&] { return spliced = true; }));
+  EXPECT_FALSE(spliced);
+
+  // Current at the check, but another writer lands a layout during the
+  // splice: the master's compare-and-swap must refuse ours.
+  RpcSpClient writer(bus_, kFirstClientNode + 9, kMasterNode, worker_nodes_, hot_retries());
+  EXPECT_FALSE(layouts->cutover(30, before->epoch, next, [&] {
+    writer.write(30, data, {4, 5});
+    return true;
+  }));
+  const auto after = master_->master().peek(30);
+  EXPECT_EQ(after->servers, (std::vector<std::uint32_t>{4, 5}));
+  EXPECT_EQ(after->epoch, before->epoch + 1);
+  EXPECT_EQ(client_->read(30), data);
 }
 
 TEST_F(RpcMetadataTest, SingleFlightSharesConcurrentReads) {

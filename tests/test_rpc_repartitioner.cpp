@@ -1,8 +1,11 @@
-// RPC repartitioner tests: the full Fig. 9b flow over messages.
+// Delta repartition tests: the full Fig. 9b flow over messages, and the
+// one per-file algorithm (delta_repartition_file) checked in both
+// deployments.
 #include "rpc/repartitioner_service.h"
 
 #include <gtest/gtest.h>
 
+#include "cluster/client.h"
 #include "core/sp_cache.h"
 
 namespace spcache::rpc {
@@ -68,70 +71,11 @@ class RpcRepartitionTest : public ::testing::Test {
   std::vector<std::vector<std::uint8_t>> originals_;
 };
 
-TEST_F(RpcRepartitionTest, ShiftRepartitionPreservesEveryFile) {
-  populate();
-  catalog_.shuffle_popularities(rng_);
-  const auto plan = plan_repartition_with_alpha(
-      catalog_, kWorkers, 6.0 / catalog_.max_load(), old_k_, old_servers_, rng_);
-  ASSERT_GT(plan.changed_files.size(), 0u);
-
-  const auto stats =
-      rpc_execute_repartition(*coordinator_, plan, old_servers_, repartitioner_nodes_);
-  EXPECT_EQ(stats.files_touched, plan.changed_files.size());
-  EXPECT_GT(stats.bytes_moved, 0u);
-
-  for (FileId f = 0; f < kFiles; ++f) {
-    EXPECT_EQ(client_->read(f), originals_[f]) << "file " << f;
-  }
-}
-
-TEST_F(RpcRepartitionTest, LayoutMatchesPlanAfterExecution) {
-  populate();
-  catalog_.shuffle_popularities(rng_);
-  const auto plan = plan_repartition_with_alpha(
-      catalog_, kWorkers, 6.0 / catalog_.max_load(), old_k_, old_servers_, rng_);
-  rpc_execute_repartition(*coordinator_, plan, old_servers_, repartitioner_nodes_);
-  for (std::size_t j = 0; j < plan.changed_files.size(); ++j) {
-    const FileId f = plan.changed_files[j];
-    const auto meta = master_->master().peek(f);
-    ASSERT_TRUE(meta.has_value());
-    EXPECT_EQ(meta->servers, plan.new_servers[j]);
-    // New pieces exist where the plan says.
-    for (std::size_t i = 0; i < meta->servers.size(); ++i) {
-      EXPECT_TRUE(workers_[meta->servers[i]]->store().contains(
-          BlockKey{f, static_cast<PieceIndex>(i)}));
-    }
-  }
-}
-
-TEST_F(RpcRepartitionTest, LocalPiecesAreFree) {
-  populate();
-  // Hand-build a one-file plan executed by a server that already holds a
-  // piece: the assembled local piece and any locally-rewritten piece must
-  // not count as moved bytes.
-  const FileId f = 0;
-  RepartitionPlan plan;
-  plan.new_k = old_k_;
-  plan.new_k[f] = old_k_[f] + 1;
-  plan.changed_files = {f};
-  std::vector<std::uint32_t> fresh;
-  for (std::uint32_t s = 0; s < plan.new_k[f]; ++s) fresh.push_back(s);
-  plan.new_servers = {fresh};
-  plan.executor = {old_servers_[f][0]};
-
-  const auto stats =
-      rpc_execute_repartition(*coordinator_, plan, old_servers_, repartitioner_nodes_);
-  // Strictly less than assembling+scattering everything remotely.
-  EXPECT_LT(stats.bytes_moved, 2 * kFileSize);
-  EXPECT_EQ(client_->read(f), originals_[f]);
-}
-
 TEST_F(RpcRepartitionTest, EmptyPlanIsNoOp) {
   populate();
   RepartitionPlan plan;
   plan.new_k = old_k_;
-  const auto stats =
-      rpc_execute_repartition(*coordinator_, plan, old_servers_, repartitioner_nodes_);
+  const auto stats = rpc_execute_delta_repartition(*coordinator_, plan, repartitioner_nodes_);
   EXPECT_EQ(stats.files_touched, 0u);
   EXPECT_EQ(stats.bytes_moved, 0u);
 }
@@ -207,6 +151,169 @@ TEST_F(RpcRepartitionTest, DeltaReusedPlacementShipsOnlyBoundaryRanges) {
   EXPECT_LT(stats.bytes_moved, kFileSize);
   EXPECT_EQ(client_->read(f), originals_[f]);
 }
+
+TEST_F(RpcRepartitionTest, ForgedRequestsAreRejected) {
+  populate();
+  const auto meta = master_->master().peek(0);
+  const auto send = [&](std::vector<std::uint32_t> servers) {
+    BufferWriter w;
+    w.u32(0);
+    w.u32(static_cast<std::uint32_t>(servers.size()));
+    for (const auto s : servers) w.u32(s);
+    return coordinator_->call_sync(repartitioner_nodes_[0], kDeltaRepartitionFile, w.take());
+  };
+  EXPECT_FALSE(send({}).ok());  // no new piece: nothing to cut the file into
+  EXPECT_FALSE(send({0, static_cast<std::uint32_t>(kWorkers)}).ok());
+  EXPECT_EQ(master_->master().peek(0)->servers, meta->servers);
+  EXPECT_EQ(master_->master().peek(0)->epoch, meta->epoch);
+  // The executor still serves a well-formed request.
+  const auto reply = send({0, 1});
+  ASSERT_TRUE(reply.ok()) << reply.error_text();
+  EXPECT_EQ(client_->read(0), originals_[0]);
+}
+
+// --- One algorithm, two deployments ---------------------------------------
+//
+// delta_repartition_file driven by execute_delta_repartition over the
+// threaded cluster, or by rpc_execute_delta_repartition over
+// RepartitionerServices on an InprocTransport bus.
+enum class Deployment { kInproc, kRpc };
+
+class DeltaRepartitionTest : public ::testing::TestWithParam<Deployment> {
+ protected:
+  static constexpr std::uint32_t kServers = 8;
+  static constexpr std::size_t kFiles = 12;
+  static constexpr Bytes kFileSize = 96 * kKB;
+
+  DeltaRepartitionTest() {
+    if (GetParam() != Deployment::kRpc) return;
+    master_service_ = std::make_unique<MasterService>(bus_);
+    for (std::uint32_t s = 0; s < kServers; ++s) {
+      workers_.push_back(
+          std::make_unique<CacheWorkerService>(bus_, kFirstWorkerNode + s, s, gbps(1.0)));
+      worker_nodes_.push_back(workers_.back()->node_id());
+    }
+    for (std::uint32_t s = 0; s < kServers; ++s) {
+      repartitioners_.push_back(std::make_unique<RepartitionerService>(
+          bus_, kFirstRepartitionerNode + s, s, kMasterNode, worker_nodes_));
+      repartitioner_nodes_.push_back(repartitioners_.back()->node_id());
+    }
+    rpc_client_ = std::make_unique<RpcSpClient>(bus_, kFirstClientNode, kMasterNode, worker_nodes_);
+    coordinator_ = std::make_unique<RpcNode>(bus_, kFirstClientNode + 1, "coordinator");
+    coordinator_->start();
+  }
+
+  bool rpc() const { return GetParam() == Deployment::kRpc; }
+  Master& master() { return rpc() ? master_service_->master() : master_; }
+  CacheServer& server(std::uint32_t s) { return rpc() ? workers_[s]->store() : cluster_.server(s); }
+  SpClient& client() { return rpc() ? rpc_client_->engine() : inproc_client_; }
+
+  RepartitionStats execute(const RepartitionPlan& plan) {
+    return rpc() ? rpc_execute_delta_repartition(*coordinator_, plan, repartitioner_nodes_)
+                 : execute_delta_repartition(cluster_, master_, plan, pool_);
+  }
+
+  void populate() {
+    catalog_ = make_uniform_catalog(kFiles, kFileSize, 1.05, 10.0);
+    SpCacheScheme sp;
+    sp.place(catalog_, cluster_.bandwidths(), rng_);
+    old_k_ = sp.partition_counts();
+    for (FileId f = 0; f < kFiles; ++f) {
+      originals_.push_back(random_bytes(kFileSize, rng_));
+      client().write(f, originals_.back(), sp.placement(f).servers);
+      old_servers_.push_back(sp.placement(f).servers);
+    }
+  }
+
+  // A one-more-piece layout for `f`: its servers plus the first server in
+  // `candidates` it does not use yet.
+  std::vector<std::uint32_t> grown(FileId f, std::initializer_list<std::uint32_t> candidates) {
+    auto servers = old_servers_[f];
+    for (const std::uint32_t s : candidates) {
+      if (std::find(servers.begin(), servers.end(), s) == servers.end()) {
+        servers.push_back(s);
+        break;
+      }
+    }
+    return servers;
+  }
+
+  Cluster cluster_{kServers, gbps(1.0)};
+  Master master_;
+  ThreadPool pool_{4};
+  SpClient inproc_client_{cluster_, master_, pool_};
+  Bus bus_;
+  std::unique_ptr<MasterService> master_service_;
+  std::vector<std::unique_ptr<CacheWorkerService>> workers_;
+  std::vector<NodeId> worker_nodes_;
+  std::vector<std::unique_ptr<RepartitionerService>> repartitioners_;
+  std::vector<NodeId> repartitioner_nodes_;
+  std::unique_ptr<RpcSpClient> rpc_client_;
+  std::unique_ptr<RpcNode> coordinator_;
+  Rng rng_{41};
+  Catalog catalog_;
+  std::vector<std::size_t> old_k_;
+  std::vector<std::vector<std::uint32_t>> old_servers_;
+  std::vector<std::vector<std::uint8_t>> originals_;
+};
+
+TEST_P(DeltaRepartitionTest, LeavesAccessCountsUntouched) {
+  populate();
+  for (FileId f = 0; f < kFiles; ++f) EXPECT_EQ(client().read(f).bytes, originals_[f]);
+  client().flush_access_reports();
+  catalog_.shuffle_popularities(rng_);
+  const auto plan = plan_repartition_with_alpha(
+      catalog_, kServers, 6.0 / catalog_.max_load(), old_k_, old_servers_, rng_);
+  ASSERT_GT(plan.changed_files.size(), 0u);
+  std::vector<std::uint64_t> before(kFiles);
+  for (FileId f = 0; f < kFiles; ++f) before[f] = master().access_count(f);
+
+  const auto stats = execute(plan);
+  EXPECT_EQ(stats.files_touched, plan.changed_files.size());
+  // Moving a file is not reading it: the counts feed the next Algorithm 1
+  // epoch and must stay the readers' alone.
+  for (const FileId f : plan.changed_files) {
+    EXPECT_EQ(master().access_count(f), before[f]) << "file " << f;
+  }
+  for (FileId f = 0; f < kFiles; ++f) EXPECT_EQ(client().read(f).bytes, originals_[f]);
+}
+
+TEST_P(DeltaRepartitionTest, FailedFileKeepsItsLayoutAndIsNotCounted) {
+  populate();
+  // File 0 grows onto a dead server, file 1 onto a live one.
+  const std::uint32_t dead = kServers - 1;
+  RepartitionPlan plan;
+  plan.new_k = old_k_;
+  for (const FileId f : {FileId{0}, FileId{1}}) {
+    ASSERT_EQ(std::count(old_servers_[f].begin(), old_servers_[f].end(), dead), 0)
+        << "the fixture's placement put file " << f << " on the server this test kills";
+    plan.changed_files.push_back(f);
+    plan.new_servers.push_back(f == 0 ? grown(f, {dead}) : grown(f, {0, 1, 2, 3, 4, 5, 6}));
+    plan.new_k[f] = plan.new_servers.back().size();
+    plan.executor.push_back(old_servers_[f][0]);
+  }
+  ASSERT_EQ(plan.new_servers[0].back(), dead);
+  const auto meta0 = master().peek(0);
+  server(dead).kill();
+
+  const auto stats = execute(plan);  // a skipped file is no executor failure
+  EXPECT_EQ(stats.files_touched, 1u);
+  EXPECT_EQ(stats.bytes_moved + stats.bytes_saved, kFileSize);  // file 1 alone
+  const auto after0 = master().peek(0);
+  EXPECT_EQ(after0->servers, meta0->servers);
+  EXPECT_EQ(after0->epoch, meta0->epoch);
+  EXPECT_EQ(master().peek(1)->servers, plan.new_servers[1]);
+  for (std::uint32_t s = 0; s < kServers; ++s) EXPECT_EQ(server(s).staged_count(), 0u);
+  EXPECT_EQ(client().read(0).bytes, originals_[0]);
+  EXPECT_EQ(client().read(1).bytes, originals_[1]);
+  server(dead).revive();
+}
+
+INSTANTIATE_TEST_SUITE_P(Deployments, DeltaRepartitionTest,
+                         ::testing::Values(Deployment::kInproc, Deployment::kRpc),
+                         [](const ::testing::TestParamInfo<Deployment>& info) {
+                           return info.param == Deployment::kInproc ? "Inproc" : "Rpc";
+                         });
 
 }  // namespace
 }  // namespace spcache::rpc

@@ -143,7 +143,8 @@ if [[ "$QUICK" -eq 0 ]]; then
   # masterd's health monitor must detect the death over TCP (missed kPing
   # beats), restore the lost pieces from its stable tier onto the survivor
   # via kPutBlock, and publish the repaired layout — every read still
-  # bit-exact, and the master's exit line must report a completed repair.
+  # bit-exact, and the master's exit line must report a completed repair
+  # that recovered at least one piece.
   CHAOS_DIR="$(mktemp -d)"
   CHAOS_PIDS=()
   cleanup_chaos() {
@@ -217,6 +218,13 @@ if [[ "$QUICK" -eq 0 ]]; then
     cat "$CHAOS_DIR/master.log" >&2
     exit 1
   }
+  # A sweep that skipped every file still completes: the repair must also
+  # have re-placed pieces.
+  grep -qE 'monitor\.pieces_recovered=[1-9]' "$CHAOS_DIR/master.log" || {
+    echo "chaos-tcp stage: the repair re-placed no pieces" >&2
+    cat "$CHAOS_DIR/master.log" >&2
+    exit 1
+  }
   cleanup_chaos
   trap - EXIT
   # The slow-reader/backpressure unit check in the release tree (the whole
@@ -243,10 +251,12 @@ if [[ "$QUICK" -eq 0 ]]; then
   echo "==> asan: Address+UBSan over the RPC suite (decoders, framing, serialize)"
   # Every decoder that touches wire bytes — the cache/master handlers with
   # their forged-count tests, frame and serialize parsing, the TCP
-  # transport — runs under Address+UBSan on every full check.
+  # transport — runs under Address+UBSan on every full check, and so does
+  # the RecoveryManager's Rpc arm (repair over the RPC PieceStore, the
+  # path spcache_masterd runs, including a stale stable copy).
   cmake --preset asan
   cmake --build --preset asan -j "$(nproc)"
-  ctest --preset asan -R 'test_rpc_'
+  ctest --preset asan -R 'test_rpc_|test_cluster_recovery'
 fi
 
 echo "==> ThreadSanitizer: configure + build"

@@ -12,11 +12,12 @@
 // With --workers the daemon also runs the deployment's health monitor: a
 // monitor RpcNode (node 900) sends a kPing to every worker each heartbeat;
 // a worker that misses K consecutive beats is declared dead and its pieces
-// are re-created on the survivors by the RpcRecoveryCoordinator — whole
-// files restored from the master's StableStore, lost pieces PUT over TCP
-// stamped with a bumped epoch, the new layout published only after the
+// are re-created on the survivors by the RecoveryManager — the same repair
+// coordinator the threaded cluster runs, here over the RPC PieceStore:
+// whole files restored from the master's StableStore, lost pieces PUT over
+// TCP stamped with a bumped epoch, the new layout published only after the
 // bytes land. The exit line reports monitor.* counters so chaos scripts
-// can assert that a kill was detected and repaired.
+// can assert that a kill was detected and pieces were recovered.
 //
 //   spcache_masterd [--host H] [--port P] [--workers LIST]
 //                   [--heartbeat-ms B] [--max-seconds S] [--legacy-write-path]
@@ -43,9 +44,9 @@
 #include <vector>
 
 #include "cluster/health_monitor.h"
+#include "cluster/stable_store.h"
 #include "obs/metrics.h"
 #include "rpc/cache_service.h"
-#include "rpc/rpc_recovery.h"
 #include "rpc/tcp_transport.h"
 
 using namespace spcache;
@@ -153,18 +154,21 @@ int main(int argc, char** argv) {
 
   // Liveness + repair, only with a worker address book to probe. The
   // monitor node issues the kPing probes and the repair PUTs; the
-  // coordinator asks the HealthMonitor (via pointer, bound below) for its
-  // cached verdicts when picking replacement workers.
+  // RecoveryManager asks the HealthMonitor (via pointer, bound below) for
+  // its cached verdicts when picking replacement workers.
   std::unique_ptr<RpcNode> monitor_node;
-  std::unique_ptr<RpcRecoveryCoordinator> coordinator;
+  std::unique_ptr<PieceStore> repair_store;
+  std::unique_ptr<RecoveryManager> recovery;
   std::unique_ptr<HealthMonitor> health;
   HealthMonitor* health_ptr = nullptr;
   std::atomic<std::uint64_t> ping_token{1};
   if (!worker_nodes.empty()) {
     monitor_node = std::make_unique<RpcNode>(bus, kMonitorNode, "monitor");
     monitor_node->start();
-    coordinator = std::make_unique<RpcRecoveryCoordinator>(
-        *monitor_node, master.master(), master.stable(), worker_nodes,
+    repair_store =
+        make_rpc_piece_store(bus, *monitor_node, worker_nodes, std::chrono::milliseconds(1000));
+    recovery = std::make_unique<RecoveryManager>(
+        *repair_store, master.master(), master.stable(), worker_nodes.size(),
         [&health_ptr](std::uint32_t s) {
           return health_ptr == nullptr || health_ptr->server_healthy(s);
         });
@@ -182,9 +186,7 @@ int main(int argc, char** argv) {
       BufferReader r(reply.payload);
       return r.u64() == token;
     };
-    auto repair = [&coordinator](std::uint32_t s) {
-      return coordinator->repair_after_server_loss(s);
-    };
+    auto repair = [&recovery](std::uint32_t s) { return recovery->repair_after_server_loss(s); };
     HealthMonitorConfig hm;
     hm.heartbeat_interval = std::chrono::milliseconds(heartbeat_ms);
     health = std::make_unique<HealthMonitor>(worker_nodes.size(), probe, repair, hm);
