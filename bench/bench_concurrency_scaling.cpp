@@ -31,9 +31,11 @@
 //                 and the bytes are copied exactly once, into their final
 //                 offset. Whole-file integrity is a separate crc32 rescan
 //                 of the reassembled bytes.
-//   fused         the data-plane-kernels PR: same sharded stores, but each
-//                 piece lands through the fused crc32_copy kernel (copy +
-//                 checksum in one pass), the whole-file CRC is stitched
+//   fused         what SpClient does: same sharded stores, but each piece
+//                 is fetched unscanned (get_for_serve) and lands through
+//                 the fused crc32_copy kernel (copy + checksum in one pass,
+//                 compared with the CRC stamped at put — the only scan of
+//                 the piece), the whole-file CRC is stitched
 //                 from the per-piece CRCs in O(k) combine operations
 //                 instead of a second 1 MB scan, and the reassembly buffer
 //                 and combine operators live in a per-thread scratch — the
@@ -233,7 +235,7 @@ class ShardedReader {
   Master& master_;
 };
 
-// This PR's steady-state read: fused copy+CRC per piece, whole-file CRC by
+// SpClient's steady-state read: fused copy+CRC per piece, whole-file CRC by
 // combination, reassembly buffer reused across reads (one
 // Scratch per bench thread — zero heap allocations once warmed).
 class FusedReader {
@@ -251,12 +253,15 @@ class FusedReader {
     s.out.resize(meta->size);
     Bytes offset = 0;
     for (std::size_t i = 0; i < meta->partitions(); ++i) {
-      const auto block =
-          cluster_.server(meta->servers[i]).get(BlockKey{id, static_cast<PieceIndex>(i)});
+      // Unscanned block, as SpClient fetches it: the fused copy's CRC is
+      // the piece check against the CRC stamped at put.
+      const auto block = cluster_.server(meta->servers[i])
+                             .get_for_serve(BlockKey{id, static_cast<PieceIndex>(i)});
       if (!block) throw std::runtime_error("fused: missing piece");
       transfer(block->bytes.size());
       s.piece_crcs[i] = crc32_copy(
           std::span<std::uint8_t>(s.out.data() + offset, block->bytes.size()), block->bytes);
+      if (s.piece_crcs[i] != block->crc) throw std::runtime_error("fused: piece corrupt");
       offset += block->bytes.size();
     }
     std::uint32_t whole = s.piece_crcs[0];
@@ -336,7 +341,7 @@ int main() {
       "Aggregate read throughput and p99 latency vs client threads, pieces\n"
       "served over emulated 10 Gbps links: global-lock baseline (lock pinned\n"
       "while each piece is served), the seed's copy-out-under-lock variant,\n"
-      "the sharded zero-copy path, and this PR's fused kernel path. " +
+      "the sharded zero-copy path, and SpClient's fused kernel path. " +
           std::to_string(kFiles) + " files x " + std::to_string(kFileBytes / 1024) +
           " kB, k=" + std::to_string(kPieces) + ", " + std::to_string(kNServers) + " servers.");
 

@@ -1,9 +1,9 @@
 // In-memory cache servers: the Alluxio-worker stand-in.
 //
 // Each server owns a thread-safe block store holding real byte buffers,
-// checksummed with CRC-32 on ingest and verified on every read — the same
-// integrity discipline a networked cache worker applies to partition
-// transfers. Network cost is *accounted virtually* (see DESIGN.md): the
+// checksummed with CRC-32 on ingest and verified by whichever pass reads
+// them out — the same integrity discipline a networked cache worker
+// applies to partition transfers. Network cost is *accounted virtually* (see DESIGN.md): the
 // store tracks bytes in/out, and callers convert byte volumes to seconds
 // through TransferModel, so experiments measuring hours of simulated
 // traffic run in milliseconds while the data path stays real.
@@ -11,10 +11,10 @@
 // Concurrency: the store is striped kStripes ways by the SplitMix64 mix
 // of the block key (common/hash_mix.h — the same mixer the master uses
 // for metadata sharding), so concurrent readers and writers of different
-// blocks rarely share a lock. Reads are zero-copy: get() hands back a
-// shared_ptr<const Block> to the resident buffer and drops the stripe
-// lock before CRC verification, so the lock is held only for the map
-// probe, never for byte-sized work. Callers MUST NOT mutate a shared
+// blocks rarely share a lock. Reads are zero-copy: get() and
+// get_for_serve() hand back a shared_ptr<const Block> to the resident
+// buffer and drop the stripe lock before any byte is scanned, so the lock
+// is held only for the map probe, never for byte-sized work. Callers MUST NOT mutate a shared
 // block; an overwrite via put() publishes a fresh block while in-flight
 // readers keep the old one alive. Load counters are lock-free atomics.
 #pragma once
@@ -97,23 +97,27 @@ class CacheServer {
   // semantics as put() otherwise.
   void put_copy(BlockKey key, std::span<const std::uint8_t> bytes);
 
-  // Zero-copy read: returns a shared reference to the resident block,
-  // verifying its checksum (outside the stripe lock). nullptr if absent.
-  // Throws std::runtime_error on checksum mismatch (corruption), on a
-  // dead server, or when the fault injector fires a fetch failure. An
-  // injected read corruption returns a bit-flipped *copy* (the resident
-  // block stays pristine), modelling a post-checksum wire flip that only
-  // the client's whole-file CRC can catch.
+  // Zero-copy read for callers that do not scan the bytes themselves
+  // (online split/merge, the whole-file repartition baselines): returns a
+  // shared reference to the resident block after a separate CRC pass over
+  // it (outside the stripe lock). nullptr if absent. Throws
+  // std::runtime_error on checksum mismatch (corruption), on a dead
+  // server, or when the fault injector fires a fetch failure. An injected
+  // read corruption returns a bit-flipped *copy* (the resident block stays
+  // pristine), modelling a post-checksum wire flip that only the client's
+  // whole-file CRC can catch.
   BlockRef get(const BlockKey& key) const;
 
-  // get() for serve paths that fuse verification into their outbound copy:
-  // identical lookup/liveness/chaos semantics, but the separate CRC scan
-  // is skipped — the caller MUST compare its fused copy's CRC against
-  // block->crc (crc32_copy makes that free). An injected read corruption
-  // hands back a bit-flipped copy whose crc field matches the flipped
-  // bytes, so the flip rides through the worker's fused check and only the
-  // client's whole-file verification catches it — the same post-checksum
-  // wire-flip model get() exposes.
+  // get() for every read path that passes over the bytes anyway — the RPC
+  // worker's serve copy, the in-process piece fetch feeding the clients'
+  // fused copy or RS decode: identical lookup/liveness/chaos semantics,
+  // but no CRC scan here, so each byte is scanned once. The caller MUST
+  // check its own pass against block->crc (crc32_copy makes that free;
+  // PieceView::expected_crc carries it across the client seam). An
+  // injected read corruption hands back a bit-flipped copy whose crc field
+  // matches the flipped bytes, so the flip rides through that check and
+  // only the client's whole-file verification catches it — the same
+  // post-checksum wire-flip model get() exposes.
   BlockRef get_for_serve(const BlockKey& key) const;
 
   // Range read for the delta repartition pipeline: a checksummed copy of

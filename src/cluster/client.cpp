@@ -48,16 +48,18 @@ class InprocPieceStore final : public PieceStore {
 
   bool fetch(FileId id, const FileMeta& layout, std::span<const std::uint32_t> pieces,
              PieceSink& sink) override {
-    // A thread never throws out of the pool: a dead server, an injected
-    // fetch failure or a block-level checksum trip just leaves the piece
-    // undelivered.
+    // A thread never throws out of the pool: a dead server or an injected
+    // fetch failure just leaves the piece undelivered. The block is handed
+    // out unscanned with its stamped CRC: the sink's pass over the bytes is
+    // the only one, and it checks them.
     for_each(pieces.size(), [&](std::size_t j) {
       const std::uint32_t i = pieces[j];
       try {
-        auto block = cluster_.server(layout.servers[i]).get(BlockKey{id, i});
+        auto block = cluster_.server(layout.servers[i]).get_for_serve(BlockKey{id, i});
         if (!block) return;
         const std::span<const std::uint8_t> bytes = block->bytes;
-        sink.on_piece(PieceView{i, bytes, std::move(block)});
+        const std::uint32_t crc = block->crc;
+        sink.on_piece(PieceView{i, bytes, std::move(block), crc});
       } catch (const std::exception&) {
       }
     });
@@ -212,6 +214,11 @@ class InprocLayoutService final : public LayoutService {
 
 }  // namespace
 
+bool intact(const PieceView& piece, Bytes size) {
+  return piece.bytes.size() == size &&
+         (!piece.expected_crc || crc32(piece.bytes) == *piece.expected_crc);
+}
+
 std::unique_ptr<PieceStore> make_inproc_piece_store(Cluster& cluster, ThreadPool* pool,
                                                     GoodputModel goodput) {
   return std::make_unique<InprocPieceStore>(cluster, pool, goodput);
@@ -351,6 +358,9 @@ struct ReassemblySink final : PieceSink {
     if (piece.bytes.size() != meta.piece_sizes[i]) return;
     piece_crcs[i] = crc32_copy(std::span<std::uint8_t>(out + offsets[i], piece.bytes.size()),
                                piece.bytes);
+    // The copy is the piece check: a piece that rotted at rest stays
+    // pending, and the retry or the stable failover overwrites its range.
+    if (piece.expected_crc && piece_crcs[i] != *piece.expected_crc) return;
     fetched[i] = 1;
     if (trace) {
       trace->record(obs::TraceKind::kPieceFetch, op, id, meta.servers[i], i,
@@ -663,25 +673,43 @@ IoResult EcClient::read(FileId id, Rng& rng) {
   if (!store_->fetch(id, meta, wanted, sink)) {
     throw std::runtime_error("EcClient::read: stale layout epoch");
   }
-  std::vector<ShardView> views;
-  views.reserve(k);
-  wanted.clear();
-  for (std::size_t j = 0; j < fetch_count && views.size() < k; ++j) {
-    if (!sink.got[j].owner) continue;
-    views.push_back(ShardView{picks[j], sink.got[j].bytes});
-    wanted.push_back(static_cast<std::uint32_t>(picks[j]));
-  }
-  if (views.size() < k) throw std::runtime_error("EcClient::read: not enough shards survived");
-
   // Zero-copy decode: the decoder reads the fetched bytes through the
   // non-owning views while the sink's owners keep them alive, and returns
   // the whole-file CRC stitched from its rows, so the output is never
-  // rescanned.
+  // rescanned. That CRC is the check of every shard the decode read: no
+  // shard is scanned on its own unless it fails.
   const auto decode_start = std::chrono::steady_clock::now();
   IoResult result;
   result.bytes.resize(meta.size);
   RsScratch scratch;
-  const std::uint32_t crc = rs_.decode_into(views, meta.size, result.bytes, scratch);
+  std::vector<ShardView> views;
+  views.reserve(k);
+  const auto decode = [&] {
+    views.clear();
+    wanted.clear();
+    for (std::size_t j = 0; j < fetch_count && views.size() < k; ++j) {
+      if (!sink.got[j].owner) continue;
+      views.push_back(ShardView{picks[j], sink.got[j].bytes});
+      wanted.push_back(static_cast<std::uint32_t>(picks[j]));
+    }
+    if (views.size() < k) throw std::runtime_error("EcClient::read: not enough shards survived");
+    return rs_.decode_into(views, meta.size, result.bytes, scratch);
+  };
+  std::uint32_t crc = decode();
+  if (crc != meta.file_crc) {
+    // Only a failed decode pays for finding the culprit: every fetched
+    // shard (the spare too) is checked against the CRC stamped at put, the
+    // rotted ones are dropped, and the survivors are decoded once more.
+    bool dropped = false;
+    for (std::size_t j = 0; j < fetch_count; ++j) {
+      auto& got = sink.got[j];
+      if (got.owner && !intact(got, meta.piece_sizes[picks[j]])) {
+        got = PieceView{};
+        dropped = true;
+      }
+    }
+    if (dropped) crc = decode();
+  }
   result.compute_time = elapsed_seconds(decode_start);
   if (auto* probes = probes_.load(std::memory_order_acquire)) {
     probes->decode_bytes->add(meta.size);

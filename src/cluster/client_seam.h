@@ -48,14 +48,30 @@ class ThreadPool;
 // One fetched piece, zero-copy: a view of its bytes plus the owner that
 // keeps them alive — the resident BlockRef in-process, the reply payload
 // over RPC. Pieces of one multi-GET reply share one owner.
+//
+// `expected_crc` is the CRC stamped on the block at put, when nobody has
+// checked the bytes against it yet: the in-process store hands out the
+// resident block unscanned (CacheServer::get_for_serve), so the consumer's
+// own pass over the bytes (the fused crc32_copy, the RS decode) is the
+// integrity check. Over RPC the worker already checked them in its serve
+// copy, and it is nullopt.
 struct PieceView {
   std::uint32_t piece = 0;
   std::span<const std::uint8_t> bytes;
   std::shared_ptr<const void> owner;
+  std::optional<std::uint32_t> expected_crc;
 };
+
+// The piece is the one stamped at put: right length for `size`, and bytes
+// matching expected_crc when there is one. A full scan in the latter case;
+// a sink with its own pass over the bytes compares that pass's CRC instead.
+bool intact(const PieceView& piece, Bytes size);
 
 // Receives fetched pieces. on_piece may run concurrently for distinct
 // pieces (in-process fetches run on the ThreadPool) and must not throw.
+// A sink handed an expected_crc must treat a piece whose bytes do not
+// match it as not delivered: the caller's retry and failover then cover
+// that piece as if it had never arrived.
 class PieceSink {
  public:
   virtual void on_piece(PieceView piece) = 0;
@@ -92,7 +108,8 @@ class PieceStore {
 
   // Fetch `pieces` of `id` as laid out by `layout`, handing each one that
   // arrives to `sink`. A piece that is missing, unreachable or late is just
-  // not delivered: retrying is the caller's business. Returns false when a
+  // not delivered: retrying is the caller's business. A piece whose bytes
+  // are unchecked carries expected_crc (see PieceView). Returns false when a
   // server rejected `layout.epoch` as stale (the caller re-looks-up).
   virtual bool fetch(FileId id, const FileMeta& layout, std::span<const std::uint32_t> pieces,
                      PieceSink& sink) = 0;

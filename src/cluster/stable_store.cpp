@@ -135,14 +135,16 @@ bool matches(const std::vector<std::uint8_t>& bytes, const FileMeta& meta) {
   return bytes.size() == meta.size && crc32(bytes) == meta.file_crc;
 }
 
-// Those of `pieces` that do not arrive intact when fetched.
+// Those of `pieces` that do not arrive intact when fetched: absent,
+// unreachable, or (in-process, where nothing else scans a resident block)
+// rotted since the put.
 std::vector<std::uint32_t> unreadable(PieceStore& store, FileId id, const FileMeta& meta,
                                       std::vector<std::uint32_t> pieces) {
   struct Arrivals final : PieceSink {
     const FileMeta* meta = nullptr;
     std::vector<char> arrived;
     void on_piece(PieceView piece) override {
-      if (piece.bytes.size() == meta->piece_sizes[piece.piece]) arrived[piece.piece] = 1;
+      if (intact(piece, meta->piece_sizes[piece.piece])) arrived[piece.piece] = 1;
     }
   } sink;
   sink.meta = &meta;

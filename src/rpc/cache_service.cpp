@@ -386,7 +386,8 @@ class RpcPieceStore final : public PieceStore {
       if (coalesce_ && r.u32() != c.pieces.size()) continue;
       for (const std::uint32_t i : c.pieces) {
         if (coalesce_ && r.u8() == 0) continue;  // missing on the worker
-        sink.on_piece(PieceView{i, r.bytes_view(), reply});
+        // No expected_crc: the worker's serve copy already checked the bytes.
+        sink.on_piece(PieceView{i, r.bytes_view(), reply, std::nullopt});
       }
     }
     return current;

@@ -276,6 +276,8 @@ class RpcEcClient {
   // Late-binding read + decode + whole-file CRC verification.
   std::vector<std::uint8_t> read(FileId id, Rng& rng) { return engine_.read(id, rng).bytes; }
 
+  EcClient& engine() { return engine_; }
+
  private:
   std::unique_ptr<RpcNode> node_;  // before engine_, which talks through it
   EcClient engine_;

@@ -128,6 +128,39 @@ TEST_F(DegradedReadTest, HeterogeneousPieceSizesFailOverCorrectly) {
   EXPECT_EQ(result.degraded_pieces, 1u);
 }
 
+TEST_F(DegradedReadTest, EcInjectedFlipsNeverReachTheCaller) {
+  // An injected flip is a post-checksum wire flip: its copy carries a CRC
+  // matching the flipped bytes, so no per-shard check can name it and only
+  // the decoder's whole-file CRC sees it. A flip in the spare shard costs
+  // nothing; a flip in a decoded shard cannot be repaired and fails the
+  // read. Either way the caller never holds wrong bytes.
+  EcClient client(cluster_, master_, pool_, 4, 8);
+  const auto data = pattern_bytes(100 * kKB + 5, 9);
+  client.write(50, data, {0, 1, 2, 3, 4, 5, 6, 7});
+  fault::FaultConfig cfg;
+  cfg.corrupt_read_p = 0.05;
+  fault::FaultInjector injector(91, cfg);
+  cluster_.set_fault_injector(&injector);
+
+  Rng rng(3);
+  std::size_t returned = 0;
+  std::size_t refused = 0;
+  for (int i = 0; i < 200; ++i) {
+    try {
+      EXPECT_EQ(client.read(50, rng).bytes, data) << "read " << i;
+      ++returned;
+    } catch (const std::runtime_error&) {
+      ++refused;
+    }
+  }
+  cluster_.set_fault_injector(nullptr);
+  EXPECT_GT(injector.stats().corrupt_reads, 0u) << "the corruption site never fired";
+  EXPECT_GT(refused, 0u) << "a flip in a decoded shard must fail the read";
+  EXPECT_GT(returned, 0u);
+  // The flips were copies: the resident shards are untouched.
+  EXPECT_EQ(client.read(50, rng).bytes, data);
+}
+
 TEST_F(DegradedReadTest, CorrelatedFailureDegradesEveryReadWhileRepairConverges) {
   // A rack loss: ceil(N/3) = 3 of the 8 servers die together, all of them
   // holding pieces of the same hot file. Every read — of the hot file and

@@ -12,6 +12,7 @@
 
 #include "cluster/client.h"
 #include "core/sp_cache.h"
+#include "fault/retry.h"
 #include "rpc/cache_service.h"
 
 namespace spcache {
@@ -78,16 +79,34 @@ class RecoveryTest : public ::testing::TestWithParam<Deployment> {
     return *managers_.back();
   }
 
-  // A new client with a cold layout cache.
-  SpClient& client() {
+  // A new client with a cold layout cache. The in-process one fails over
+  // to `stable` (the RPC seam has no read-side stable tier).
+  SpClient& client(fault::RetryPolicy retry = {}, StableStore* stable = nullptr) {
     if (!rpc()) {
-      inproc_clients_.push_back(std::make_unique<SpClient>(*cluster_, master_, pool_));
+      inproc_clients_.push_back(
+          std::make_unique<SpClient>(*cluster_, master_, pool_, stable, retry));
       return *inproc_clients_.back();
     }
-    const auto node = rpc::kFirstClientNode + static_cast<rpc::NodeId>(rpc_clients_.size());
     rpc_clients_.push_back(
-        std::make_unique<rpc::RpcSpClient>(bus_, node, rpc::kMasterNode, worker_nodes_));
+        std::make_unique<rpc::RpcSpClient>(bus_, next_client_node(), rpc::kMasterNode,
+                                           worker_nodes_, retry));
     return rpc_clients_.back()->engine();
+  }
+
+  // A new RS(k, n) EC-Cache client.
+  EcClient& ec_client(std::size_t k, std::size_t n) {
+    if (!rpc()) {
+      inproc_ec_clients_.push_back(std::make_unique<EcClient>(*cluster_, master_, pool_, k, n));
+      return *inproc_ec_clients_.back();
+    }
+    rpc_ec_clients_.push_back(std::make_unique<rpc::RpcEcClient>(
+        bus_, next_client_node(), rpc::kMasterNode, worker_nodes_, k, n));
+    return rpc_ec_clients_.back()->engine();
+  }
+
+  rpc::NodeId next_client_node() {
+    return rpc::kFirstClientNode +
+           static_cast<rpc::NodeId>(rpc_clients_.size() + rpc_ec_clients_.size());
   }
 
   void populate(std::size_t n_files, Bytes size) {
@@ -116,6 +135,8 @@ class RecoveryTest : public ::testing::TestWithParam<Deployment> {
   std::vector<std::unique_ptr<RecoveryManager>> managers_;
   std::vector<std::unique_ptr<SpClient>> inproc_clients_;
   std::vector<std::unique_ptr<rpc::RpcSpClient>> rpc_clients_;
+  std::vector<std::unique_ptr<EcClient>> inproc_ec_clients_;
+  std::vector<std::unique_ptr<rpc::RpcEcClient>> rpc_ec_clients_;
   Rng rng_{77};
   Catalog catalog_;
   std::vector<std::vector<std::uint8_t>> originals_;
@@ -281,6 +302,81 @@ TEST_P(RecoveryTest, RecoveryTimeScalesWithBackingBandwidth) {
   server(meta->servers[0]).erase(BlockKey{1, 0});
   const auto s2 = recovery(&fast).repair_file(1);
   EXPECT_GT(s1.modelled_time, s2.modelled_time);
+}
+
+// --- Resident rot: a block whose bytes changed at rest after its put ------
+// In-process, nothing scans a resident block on its own: the
+// reader's pass over the bytes (the fused copy, the RS decode) and the
+// repair's piece probe check them against the CRC stamped at put. Over RPC
+// the worker's serve copy checks them. Either way a rotted piece must count
+// as not delivered.
+
+fault::RetryPolicy fast_retry() {
+  fault::RetryPolicy policy;
+  policy.piece_attempts = 2;
+  policy.read_attempts = 3;
+  policy.base_backoff = std::chrono::microseconds(50);
+  policy.max_backoff = std::chrono::microseconds(500);
+  return policy;
+}
+
+// Flip one byte of the resident block `key` in place; its stamped CRC
+// stays. The store hands out const blocks, but every block was created
+// non-const by its put.
+void rot(CacheServer& server, const BlockKey& key) {
+  const auto block = server.get_for_serve(key);
+  ASSERT_NE(block, nullptr);
+  auto& bytes = const_cast<Block&>(*block).bytes;
+  bytes[bytes.size() / 3] ^= 0x20;
+}
+
+TEST_P(RecoveryTest, RottedPieceIsReadAroundAndRepaired) {
+  start(30);
+  populate(10, 200 * kKB);
+  const auto meta = master().peek(0);
+  ASSERT_GE(meta->partitions(), 2u);
+  rot(server(meta->servers[1]), BlockKey{0, 1});
+
+  SpClient& reader = client(fast_retry(), &stable());
+  if (rpc()) {
+    // The worker refuses to serve the rotted piece and the RPC seam has no
+    // read-side stable tier: the read fails loudly, never with bad bytes.
+    EXPECT_THROW(reader.read(0), std::runtime_error);
+  } else {
+    // The fused copy refuses the piece; the stable copy covers its range.
+    const auto degraded = reader.read(0);
+    EXPECT_EQ(degraded.bytes, originals_[0]);
+    EXPECT_TRUE(degraded.degraded);
+    EXPECT_EQ(degraded.degraded_pieces, 1u);
+  }
+
+  const auto stats = recovery().repair_file(0);
+  EXPECT_EQ(stats.pieces_recovered, 1u);
+  const auto healed = client(fast_retry()).read(0);
+  EXPECT_EQ(healed.bytes, originals_[0]);
+  EXPECT_FALSE(healed.degraded);
+  EXPECT_EQ(recovery().repair_file(0).pieces_recovered, 0u);
+}
+
+TEST_P(RecoveryTest, EcReadDecodesAroundARottedShard) {
+  constexpr std::size_t k = 4;
+  constexpr std::size_t n = 6;
+  start(n);
+  const auto data = random_bytes(150 * kKB + 7, rng_);
+  EcClient& ec = ec_client(k, n);
+  ec.write(3, data, {0, 1, 2, 3, 4, 5});
+
+  // Rot the first shard of the sample this read late-binds, one the
+  // decode reads whenever every fetch arrives; the (k+1)th is the spare.
+  Rng rng(2024);
+  Rng probe = rng;
+  const auto picks = probe.sample_without_replacement(n, k + 1);
+  const auto shard = static_cast<std::uint32_t>(picks[0]);
+  rot(server(master().peek(3)->servers[shard]), BlockKey{3, shard});
+
+  EXPECT_EQ(ec.read(3, rng).bytes, data);
+  // Every later sample decodes too, whether or not it holds the shard.
+  for (int trial = 0; trial < 10; ++trial) EXPECT_EQ(ec.read(3, rng).bytes, data);
 }
 
 INSTANTIATE_TEST_SUITE_P(Deployments, RecoveryTest,

@@ -170,7 +170,9 @@ if [[ "$QUICK" -eq 0 ]]; then
   CHAOS_WORKERS="$(for n in 1 2; do
     grep -oE '[0-9.]+:[0-9]+' "$CHAOS_DIR/server$n.log" | head -1
   done | paste -sd,)"
-  timeout -k 5 180 ./build/tools/spcache_masterd --port 0 --max-seconds 170 \
+  # SPCACHE_LOG=warn makes the monitor's "declared dead" line visible, so
+  # phase 2 can wait for the death instead of racing a fixed sleep.
+  SPCACHE_LOG=warn timeout -k 5 180 ./build/tools/spcache_masterd --port 0 --max-seconds 170 \
       --workers "$CHAOS_WORKERS" --heartbeat-ms 50 \
       > "$CHAOS_DIR/master.log" 2>&1 &
   MASTERD_PID=$!
@@ -203,8 +205,24 @@ if [[ "$QUICK" -eq 0 ]]; then
   # wrapper would orphan the daemon alive.
   SERVERD2_PID="$(pgrep -P "${SERVER_PIDS[1]}" | head -1)"
   kill -9 "${SERVERD2_PID:-${SERVER_PIDS[1]}}" 2>/dev/null || true
+  # Nothing makes the 2000 reads outlast the kill: wait (bounded) for the
+  # monitor to declare the death before masterd is stopped. If the reads
+  # were done by then, read the dataset once more after the declaration,
+  # so the stage still reads through the loss and its repair.
+  for _ in $(seq 100); do
+    grep -q 'declared dead' "$CHAOS_DIR/master.log" && break
+    sleep 0.1
+  done
+  READS_DONE_BEFORE_DEATH=0
+  kill -0 "$CLI2_PID" 2>/dev/null || READS_DONE_BEFORE_DEATH=1
   wait "$CLI2_PID"
   grep -q 'mismatches=0 ' "$CHAOS_DIR/cli2.log"
+  if [[ "$READS_DONE_BEFORE_DEATH" == 1 ]]; then
+    timeout -k 5 120 ./build/tools/spcache_cli --rpc --master "$CHAOS_MASTER" \
+        --workers "$CHAOS_WORKERS" --files 16 --requests 200 --seed 11 \
+        --read-only > "$CHAOS_DIR/cli3.log" 2>&1
+    grep -q 'mismatches=0 ' "$CHAOS_DIR/cli3.log"
+  fi
   # The master must have detected the kill and completed an RPC repair.
   kill -TERM "$MASTERD_PID" 2>/dev/null || true
   wait "$MASTERD_PID" 2>/dev/null || true

@@ -281,7 +281,6 @@ scenario::ScenarioScript resolve_scenario(const std::string& name, std::size_t n
 int run_rpc(const Options& o) {
   using namespace spcache::rpc;
 
-  TcpTransport transport;
   // Seeded socket chaos on this client's half of every connection. The
   // schedule is a pure function of (seed, site, decision index), so a
   // failing run replays from the command line alone.
@@ -290,7 +289,12 @@ int run_rpc(const Options& o) {
   chaos_cfg.sock_partial_write_p = o.chaos_partial;
   chaos_cfg.sock_reset_p = o.chaos_reset;
   chaos_cfg.sock_delay_p = o.chaos_delay;
+  // Declared before the transport, and so destroyed after it: its loop
+  // thread records into the registry and consults the injector until the
+  // transport's destructor joins it.
   fault::FaultInjector injector(o.chaos_seed, chaos_cfg);
+  obs::MetricsRegistry registry;
+  TcpTransport transport;
   if (chaos) transport.set_fault_injector(&injector);
   transport.start();
   const auto [master_host, master_port] = parse_addr(o.master_addr);
@@ -304,7 +308,6 @@ int run_rpc(const Options& o) {
   }
 
   Bus bus(transport);
-  obs::MetricsRegistry registry;
   bus.attach_observability(&registry);
   RpcSpClient client(bus, kFirstClientNode, kMasterNode, worker_nodes,
                      fault::RetryPolicy{},

@@ -138,6 +138,10 @@ int main(int argc, char** argv) {
 
   TcpTransportConfig config;
   config.batch_writes = !legacy_write_path;
+  // Declared before the transport, and so destroyed after it: its loop
+  // thread records into the registry until the transport's destructor
+  // joins it.
+  obs::MetricsRegistry registry;
   TcpTransport transport(config);
   const std::uint16_t bound = transport.listen(host, port);
   std::vector<NodeId> worker_nodes;
@@ -148,7 +152,6 @@ int main(int argc, char** argv) {
     worker_nodes.push_back(node);
   }
   Bus bus(transport);
-  obs::MetricsRegistry registry;
   bus.attach_observability(&registry);
   MasterService master(bus);
 

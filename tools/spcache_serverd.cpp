@@ -116,7 +116,6 @@ int main(int argc, char** argv) {
 
   TcpTransportConfig config;
   config.batch_writes = !legacy_write_path;
-  TcpTransport transport(config);
   // Seeded socket chaos (armed when any probability is nonzero): the fault
   // schedule is a pure function of the seed, so a failing run replays from
   // the command line alone.
@@ -124,11 +123,15 @@ int main(int argc, char** argv) {
   fault::FaultConfig chaos_cfg;
   chaos_cfg.sock_partial_write_p = chaos_partial;
   chaos_cfg.sock_reset_p = chaos_reset;
+  // Declared before the transport, and so destroyed after it: its loop
+  // thread records into the registry and consults the injector until the
+  // transport's destructor joins it.
   fault::FaultInjector injector(chaos_seed, chaos_cfg);
+  obs::MetricsRegistry registry;
+  TcpTransport transport(config);
   if (chaos) transport.set_fault_injector(&injector);
   const std::uint16_t bound = transport.listen(host, port);
   Bus bus(transport);
-  obs::MetricsRegistry registry;
   bus.attach_observability(&registry);
   // server_id is the zero-based cache-server index behind this node.
   const auto server_id = static_cast<std::uint32_t>(node - kFirstWorkerNode);
