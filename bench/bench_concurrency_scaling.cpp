@@ -16,7 +16,7 @@
 //                 ownership, serving a piece without copying it means the
 //                 lock stays pinned while the piece is consumed (transfer
 //                 + CRC verification) — release it mid-serve and a
-//                 concurrent rename/erase/overwrite invalidates the bytes
+//                 concurrent erase/overwrite invalidates the bytes
 //                 being read. Every in-flight read therefore serializes.
 //   global_copy   the seed's actual compromise: same single mutex, but
 //                 each piece is copied out while the lock is held, then

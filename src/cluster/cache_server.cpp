@@ -310,38 +310,6 @@ void CacheServer::revive() {
   alive_.store(true, std::memory_order_release);
 }
 
-bool CacheServer::rename(const BlockKey& from, const BlockKey& to) {
-  if (from == to) {
-    return contains(from);
-  }
-  auto& src = stripe_for(from);
-  auto& dst = stripe_for(to);
-  // Two stripes: lock in address order so concurrent renames can't deadlock.
-  std::unique_lock<std::mutex> first;
-  std::unique_lock<std::mutex> second;
-  if (&src == &dst) {
-    first = std::unique_lock(src.mu);
-  } else if (&src < &dst) {
-    first = std::unique_lock(src.mu);
-    second = std::unique_lock(dst.mu);
-  } else {
-    first = std::unique_lock(dst.mu);
-    second = std::unique_lock(src.mu);
-  }
-  const auto it = src.blocks.find(from);
-  if (it == src.blocks.end()) return false;
-  BlockRef block = std::move(it->second);
-  src.blocks.erase(it);
-  const auto replaced = dst.blocks.find(to);
-  if (replaced != dst.blocks.end()) {
-    bytes_stored_.fetch_sub(replaced->second->bytes.size(), std::memory_order_relaxed);
-    replaced->second = std::move(block);
-  } else {
-    dst.blocks.emplace(to, std::move(block));
-  }
-  return true;
-}
-
 void CacheServer::clear() {
   for (auto& stripe : stripes_) {
     std::lock_guard lock(stripe.mu);

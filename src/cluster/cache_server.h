@@ -98,7 +98,7 @@ class CacheServer {
   void put_copy(BlockKey key, std::span<const std::uint8_t> bytes);
 
   // Zero-copy read for callers that do not scan the bytes themselves
-  // (online split/merge, the whole-file repartition baselines): returns a
+  // (the whole-file repartition baselines): returns a
   // shared reference to the resident block after a separate CRC pass over
   // it (outside the stripe lock). nullptr if absent. Throws
   // std::runtime_error on checksum mismatch (corruption), on a dead
@@ -189,11 +189,6 @@ class CacheServer {
     obs::LatencyHistogram* service = nullptr;
     obs::Gauge* in_flight = nullptr;
   };
-
-  // Metadata-only rename of a stored block (no byte movement) — used by the
-  // online partition adjuster when piece indices shift after a local
-  // split/merge. Returns false if `from` is absent; overwrites `to`.
-  bool rename(const BlockKey& from, const BlockKey& to);
 
   // Drop every block (simulates a server crash for the recovery tests).
   void clear();

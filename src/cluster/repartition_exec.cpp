@@ -4,6 +4,7 @@
 #include <cassert>
 #include <chrono>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -213,27 +214,43 @@ RepartitionStats execute_parallel_repartition(Cluster& cluster, Master& master,
 
 std::optional<DeltaCutover> delta_repartition_file(PieceStore& store, LayoutService& layouts,
                                                    FileId id,
+                                                   const std::vector<Bytes>& new_piece_sizes,
                                                    const std::vector<std::uint32_t>& new_servers) {
   const auto meta = layouts.peek(id);
-  if (!meta) return std::nullopt;
+  if (!meta || new_piece_sizes.size() != new_servers.size() ||
+      std::accumulate(new_piece_sizes.begin(), new_piece_sizes.end(), Bytes{0}) != meta->size) {
+    return std::nullopt;
+  }
   const std::uint64_t staging_epoch = meta->epoch + 1;
   DeltaCutover out;
-  out.plan = plan_range_transfer(meta->size, meta->piece_sizes, meta->servers, new_servers);
+  out.plan = plan_range_transfer(meta->size, meta->piece_sizes, meta->servers, new_piece_sizes,
+                                 new_servers);
+  out.old_partitions = meta->partitions();
   const auto& pieces = out.plan.pieces;
 
   FileMeta next;
   next.size = meta->size;
   next.servers = new_servers;
-  next.piece_sizes.reserve(pieces.size());
-  for (const auto& piece : pieces) next.piece_sizes.push_back(piece.piece_size);
+  next.piece_sizes = new_piece_sizes;
   next.file_crc = meta->file_crc;  // content is unchanged, only its cut
   next.epoch = staging_epoch;
 
-  // Phase 1 — stage every new piece out of band. Readers keep hitting the
-  // old layout; nothing here is visible to them.
-  bool staged = true;
+  // A new piece that is an old piece verbatim — same index, server and
+  // bytes — is live already, so it is neither staged nor spliced (most
+  // pieces of a tail merge are).
+  std::vector<const PieceAssembly*> fresh;
   for (const auto& piece : pieces) {
-    if (!store.stage(id, piece, staging_epoch)) {
+    const bool resident = piece.sources.size() == 1 && piece.sources[0].local &&
+                          piece.sources[0].old_piece == piece.new_piece &&
+                          piece.piece_size == meta->piece_sizes[piece.new_piece];
+    if (!resident) fresh.push_back(&piece);
+  }
+
+  // Phase 1 — stage every fresh piece out of band. Readers keep hitting
+  // the old layout; nothing here is visible to them.
+  bool staged = true;
+  for (const auto* piece : fresh) {
+    if (!store.stage(id, *piece, staging_epoch)) {
       staged = false;
       break;
     }
@@ -245,37 +262,60 @@ std::optional<DeltaCutover> delta_repartition_file(PieceStore& store, LayoutServ
   // have overwritten same-key old pieces; readers detect the size
   // mismatch and fall back to stable storage until the next repartition
   // or repair lands a consistent layout.
+  //
+  // Phase 3 — GC, once the swap landed: an old piece whose index AND
+  // server survive into the new layout was kept or overwritten by the
+  // splice (same BlockKey) and must not be erased; everything else is now
+  // unreachable through the master and can go. It runs inside the cutover
+  // (under the file's guard in-process), so a later layout change cannot
+  // land pieces under a key this GC is about to erase. A reader still
+  // holding the old layout either sees unchanged bytes (CRC passes) or a
+  // missing/mis-sized piece — both funnel into the invalidate/retry path.
   std::chrono::steady_clock::time_point t0;
-  const bool swapped =
-      staged && layouts.cutover(id, meta->epoch, next, [&] {
-        t0 = std::chrono::steady_clock::now();
-        for (const auto& piece : pieces) {
-          if (!store.publish_staged(id, piece.new_piece, piece.dst_server, staging_epoch)) {
-            return false;
-          }
-        }
-        return true;
-      });
+  std::chrono::steady_clock::time_point t1;
+  const auto splice = [&] {
+    t0 = std::chrono::steady_clock::now();
+    for (const auto* piece : fresh) {
+      if (!store.publish_staged(id, piece->new_piece, piece->dst_server, staging_epoch)) {
+        return false;
+      }
+    }
+    return true;
+  };
+  const auto retire = [&] {
+    t1 = std::chrono::steady_clock::now();
+    for (std::size_t i = 0; i < meta->servers.size(); ++i) {
+      const bool reused_in_place = i < new_servers.size() && meta->servers[i] == new_servers[i];
+      if (!reused_in_place) store.erase(id, static_cast<std::uint32_t>(i), meta->servers[i]);
+    }
+  };
+  const bool swapped = staged && layouts.cutover(id, meta->epoch, next, splice, retire);
   if (!swapped) {
-    for (const auto& piece : pieces) {
-      store.discard_staged(id, piece.new_piece, piece.dst_server, staging_epoch);
+    for (const auto* piece : fresh) {
+      store.discard_staged(id, piece->new_piece, piece->dst_server, staging_epoch);
     }
     return std::nullopt;
   }
-  out.cutover_time =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-  // Phase 3 — lazy GC, outside the critical section. An old piece whose
-  // index AND server survive into the new layout was overwritten by the
-  // splice (same BlockKey) and must not be erased; everything else is now
-  // unreachable through the master and can go. A reader still holding the
-  // old layout either sees unchanged bytes (CRC passes) or a
-  // missing/mis-sized piece — both funnel into the invalidate/retry path.
-  for (std::size_t i = 0; i < meta->servers.size(); ++i) {
-    const bool reused_in_place = i < new_servers.size() && meta->servers[i] == new_servers[i];
-    if (!reused_in_place) store.erase(id, static_cast<std::uint32_t>(i), meta->servers[i]);
-  }
+  out.cutover_time = std::chrono::duration<double>(t1 - t0).count();
   return out;
+}
+
+void NicLedger::add(const RangeTransferPlan& plan) {
+  for (const auto& piece : plan.pieces) {
+    for (const auto& range : piece.sources) {
+      if (range.local) continue;
+      tx_[range.src_server] += static_cast<double>(range.length);
+      rx_[piece.dst_server] += static_cast<double>(range.length);
+    }
+  }
+}
+
+Seconds NicLedger::drain_time(const std::vector<Bandwidth>& bandwidth) const {
+  Seconds busiest = 0.0;
+  for (std::size_t s = 0; s < tx_.size(); ++s) {
+    busiest = std::max(busiest, (tx_[s] + rx_[s]) / bandwidth[s]);
+  }
+  return busiest;
 }
 
 RepartitionStats execute_delta_repartition(Cluster& cluster, Master& master,
@@ -296,12 +336,15 @@ RepartitionStats execute_delta_repartition(Cluster& cluster, Master& master,
   // Shared accumulators: per-NIC traffic for the modelled time, plus the
   // headline byte counts. One mutex, taken once per file.
   std::mutex stats_mu;
-  std::vector<double> tx(cluster.size(), 0.0);
-  std::vector<double> rx(cluster.size(), 0.0);
+  NicLedger nics(cluster.size());
 
   pool.parallel_for(n_changed, [&](std::size_t j) {
     const FileId id = plan.changed_files[j];
-    const auto done = delta_repartition_file(*store, *layouts, id, plan.new_servers[j]);
+    const auto meta = master.peek(id);
+    if (!meta) return;
+    const auto& servers = plan.new_servers[j];
+    const auto done = delta_repartition_file(
+        *store, *layouts, id, plain_piece_sizes(meta->size, servers.size()), servers);
     if (!done) return;
     const auto& rplan = done->plan;
     if (registry) {
@@ -318,21 +361,10 @@ RepartitionStats execute_delta_repartition(Cluster& cluster, Master& master,
     stats.bytes_saved += rplan.bytes_saved;
     stats.max_cutover_time = std::max(stats.max_cutover_time, done->cutover_time);
     ++stats.files_touched;
-    for (const auto& piece : rplan.pieces) {
-      for (const auto& range : piece.sources) {
-        if (range.local) continue;
-        tx[range.src_server] += static_cast<double>(range.length);
-        rx[piece.dst_server] += static_cast<double>(range.length);
-      }
-    }
+    nics.add(rplan);
   });
 
-  // Per-NIC completion: every remote range occupies its source's TX and its
-  // destination's RX; the migration finishes when the busiest NIC drains.
-  for (std::size_t s = 0; s < cluster.size(); ++s) {
-    stats.modelled_time =
-        std::max(stats.modelled_time, (tx[s] + rx[s]) / cluster.server(s).bandwidth());
-  }
+  stats.modelled_time = nics.drain_time(cluster.bandwidths());
   scope.finish(stats);
   SPCACHE_LOG(kInfo) << "delta repartition: " << stats.files_touched << " files, "
                      << stats.bytes_moved / kMB << " MB moved, " << stats.bytes_saved / kMB

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <numeric>
 
 namespace spcache {
 
@@ -14,37 +15,42 @@ Bytes plain_piece_offset(Bytes size, std::size_t k, std::size_t i) {
   return static_cast<Bytes>(i) * base + std::min<Bytes>(i, extra);
 }
 
+std::vector<Bytes> plain_piece_sizes(Bytes size, std::size_t k) {
+  std::vector<Bytes> sizes(k);
+  for (std::size_t i = 0; i < k; ++i) {
+    sizes[i] = plain_piece_offset(size, k, i + 1) - plain_piece_offset(size, k, i);
+  }
+  return sizes;
+}
+
 RangeTransferPlan plan_range_transfer(Bytes size, const std::vector<Bytes>& old_piece_sizes,
                                       const std::vector<std::uint32_t>& old_servers,
+                                      const std::vector<Bytes>& new_piece_sizes,
                                       const std::vector<std::uint32_t>& new_servers) {
   assert(old_piece_sizes.size() == old_servers.size());
+  assert(new_piece_sizes.size() == new_servers.size());
   assert(!old_servers.empty());
   assert(!new_servers.empty());
-#ifndef NDEBUG
-  {
-    Bytes total = 0;
-    for (Bytes s : old_piece_sizes) total += s;
-    assert(total == size);
-  }
-#endif
+  assert(std::accumulate(old_piece_sizes.begin(), old_piece_sizes.end(), Bytes{0}) == size);
+  assert(std::accumulate(new_piece_sizes.begin(), new_piece_sizes.end(), Bytes{0}) == size);
 
   RangeTransferPlan plan;
   plan.file_size = size;
   const std::size_t k_new = new_servers.size();
   plan.pieces.reserve(k_new);
 
-  // Walk the file once, keeping a cursor into the old layout. New piece
-  // boundaries follow split_plain; every crossing of an old boundary inside
-  // a new piece starts a fresh source range.
+  // Walk the file once, keeping a cursor into the old layout; every
+  // crossing of an old boundary inside a new piece starts a fresh source
+  // range.
   std::size_t old_piece = 0;
   Bytes old_start = 0;  // file offset where old_piece begins
+  Bytes lo = 0;         // file offset where new piece j begins
   for (std::size_t j = 0; j < k_new; ++j) {
     PieceAssembly assembly;
     assembly.new_piece = static_cast<std::uint32_t>(j);
     assembly.dst_server = new_servers[j];
-    const Bytes lo = plain_piece_offset(size, k_new, j);
-    const Bytes hi = plain_piece_offset(size, k_new, j + 1);
-    assembly.piece_size = hi - lo;
+    assembly.piece_size = new_piece_sizes[j];
+    const Bytes hi = lo + assembly.piece_size;
     Bytes pos = lo;
     while (pos < hi) {
       // Advance the old cursor past zero-length pieces and pieces that end
@@ -72,6 +78,7 @@ RangeTransferPlan plan_range_transfer(Bytes size, const std::vector<Bytes>& old_
       assembly.sources.push_back(range);
     }
     plan.pieces.push_back(std::move(assembly));
+    lo = hi;
   }
   return plan;
 }

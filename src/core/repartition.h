@@ -55,9 +55,10 @@ struct RepartitionPlan {
 // common online-adjust case (small k-delta, placements largely reused) most
 // bytes never cross a NIC.
 //
-// Old piece sizes are taken as given (heterogeneous write_sized layouts
-// repartition correctly); new piece sizes follow split_plain's rule — the
-// first (size % k_new) pieces get one extra byte.
+// Both layouts are taken as given piece-size vectors, so one planner serves
+// every move: a split_plain re-split (Algorithm 2, plain_piece_sizes), an
+// online split (piece i halved, the second half on a fresh server) or
+// merge (pieces i and i+1 joined), and heterogeneous write_sized layouts.
 
 // One contiguous byte range of an old piece feeding a new piece.
 struct RangeSource {
@@ -88,11 +89,17 @@ struct RangeTransferPlan {
 // Byte offset where piece `i` of a k-way split_plain layout starts.
 Bytes plain_piece_offset(Bytes size, std::size_t k, std::size_t i);
 
+// Piece sizes of a k-way split_plain layout: the first (size % k) pieces
+// get one extra byte.
+std::vector<Bytes> plain_piece_sizes(Bytes size, std::size_t k);
+
 // Compute the range transfer plan from the current layout
-// (old_piece_sizes[i] bytes of piece i on old_servers[i]) to a
-// split_plain(new_servers.size()) layout on `new_servers`. O(k_old + k_new).
+// (old_piece_sizes[i] bytes of piece i on old_servers[i]) to the target
+// layout (new_piece_sizes[j] bytes of piece j on new_servers[j]). Both size
+// vectors sum to `size`. O(k_old + k_new).
 RangeTransferPlan plan_range_transfer(Bytes size, const std::vector<Bytes>& old_piece_sizes,
                                       const std::vector<std::uint32_t>& old_servers,
+                                      const std::vector<Bytes>& new_piece_sizes,
                                       const std::vector<std::uint32_t>& new_servers);
 
 // Algorithm 2. `old_k[i]` / `old_servers[i]` describe the current layout.

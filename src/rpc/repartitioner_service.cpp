@@ -35,7 +35,11 @@ std::vector<std::uint8_t> RepartitionerService::handle_delta_repartition(BufferR
     if (s >= n_servers_) throw std::runtime_error("kDeltaRepartitionFile: unknown server");
   }
   if (new_servers.empty()) throw std::runtime_error("kDeltaRepartitionFile: no new pieces");
-  const auto done = delta_repartition_file(*store_, *layouts_, file, new_servers);
+  const auto meta = layouts_->peek(file);
+  const auto done =
+      meta ? delta_repartition_file(*store_, *layouts_, file,
+                                    plain_piece_sizes(meta->size, new_servers.size()), new_servers)
+           : std::nullopt;
   BufferWriter out;
   out.u8(done ? 1 : 0);
   out.u64(done ? done->plan.bytes_moved : 0);

@@ -24,8 +24,9 @@ namespace spcache::rpc {
 
 // Method id on repartitioner nodes. Request: file u32, new piece count
 // u32, then per new piece a server u32. The executor reads the current
-// layout (sizes + epoch) from the master itself, so the coordinator needs
-// no piece-size bookkeeping. Reply: u8 published, u64 remote bytes moved,
+// layout (sizes + epoch) from the master itself and cuts the file
+// split_plain across the named servers, so the coordinator needs no
+// piece-size bookkeeping. Reply: u8 published, u64 remote bytes moved,
 // u64 bytes saved in place — a file the executor skipped (failed stage or
 // splice, or outraced by another writer) replies published = 0 with its
 // old layout intact.

@@ -108,9 +108,11 @@ ScenarioReport ScenarioDriver::run(obs::MetricsRegistry* registry, obs::TraceRec
   }
 
   PopularityTracker tracker(config_.tracker_half_life);
+  const auto store = make_inproc_piece_store(cluster, nullptr);
+  const auto layouts = make_inproc_layout_service(master, nullptr);
   std::optional<AlphaController> controller;
   if (config_.adaptive) {
-    controller.emplace(cluster, master, tracker, config_.controller, offline.alpha,
+    controller.emplace(*layouts, *store, bandwidths, tracker, config_.controller, offline.alpha,
                        placement_seed);
     controller->attach_observability(registry, trace);
   }

@@ -59,7 +59,7 @@ struct ScenarioDriverConfig {
     // of the offline path — tighten the loop accordingly.
     controller.eta_trigger = 0.8;
     controller.cooldown = 1.0;
-    controller.max_ops_per_file = 8;
+    controller.adjust.max_ops_per_file = 8;
   }
 };
 

@@ -6,16 +6,25 @@
 // seed, regardless of where the warm start sits; (2) hysteresis — cooldown
 // + alpha deadband — bounds how often oscillating rates can thrash the
 // layout; (3) the Eq. 1 alpha is mandatory at the plan entry point; and
-// (4) end to end, a burst on a cold file makes the controller split it.
+// (4) end to end, a burst on a cold file makes the controller split it,
+// and a file with a dead holder keeps its layout until the holder is back.
+//
+// The controller acts only through the client seam, so every controller
+// case runs in both deployments: over the threaded cluster, and over the
+// RPC PieceStore/LayoutService against CacheWorkerServices and a
+// MasterService on an InprocTransport bus.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
 
 #include "cluster/alpha_controller.h"
 #include "cluster/client.h"
 #include "cluster/online_adjust.h"
+#include "cluster/stable_store.h"
 #include "math/scale_factor.h"
+#include "rpc/cache_service.h"
 #include "workload/popularity_tracker.h"
 
 namespace spcache {
@@ -66,54 +75,119 @@ TEST(RefineScaleFactor, IncrementalMatchesScratchAcrossSeeds) {
   }
 }
 
-class AlphaControllerTest : public ::testing::Test {
+enum class Deployment { kInproc, kRpc };
+
+class AlphaControllerTest : public ::testing::TestWithParam<Deployment> {
  protected:
-  static constexpr std::size_t kServers = 10;
+  static constexpr std::uint32_t kServers = 10;
   static constexpr std::size_t kFiles = 16;
   static constexpr Bytes kFileSize = 32 * kKB;
 
-  AlphaControllerTest()
-      : cluster_(kServers, gbps(1.0)), pool_(1), tracker_(/*half_life=*/5.0) {}
+  AlphaControllerTest() : cluster_(kServers, gbps(1.0)), pool_(1), tracker_(/*half_life=*/5.0) {
+    if (!rpc()) {
+      store_ = make_inproc_piece_store(cluster_, nullptr);
+      layouts_ = make_inproc_layout_service(master_, nullptr);
+      client_ = std::make_unique<SpClient>(cluster_, master_, pool_);
+      return;
+    }
+    master_service_ = std::make_unique<rpc::MasterService>(bus_);
+    for (std::uint32_t s = 0; s < kServers; ++s) {
+      workers_.push_back(std::make_unique<rpc::CacheWorkerService>(
+          bus_, rpc::kFirstWorkerNode + s, s, gbps(1.0)));
+      worker_nodes_.push_back(workers_.back()->node_id());
+    }
+    node_ = std::make_unique<rpc::RpcNode>(bus_, rpc::kMonitorNode, "controller");
+    node_->start();
+    store_ = rpc::make_rpc_piece_store(bus_, *node_, worker_nodes_, std::chrono::seconds(1));
+    layouts_ = rpc::make_rpc_layout_service(*node_, rpc::kMasterNode, std::chrono::seconds(1));
+    rpc_client_ = std::make_unique<rpc::RpcSpClient>(bus_, rpc::kFirstClientNode,
+                                                     rpc::kMasterNode, worker_nodes_);
+  }
 
-  // Lay every file out on `k` servers with pattern bytes.
+  bool rpc() const { return GetParam() == Deployment::kRpc; }
+  Master& master() { return rpc() ? master_service_->master() : master_; }
+  StableStore& stable() { return rpc() ? master_service_->stable() : stable_; }
+  CacheServer& server(std::uint32_t s) {
+    return rpc() ? workers_[s]->store() : cluster_.server(s);
+  }
+  SpClient& client() { return rpc() ? rpc_client_->engine() : *client_; }
+
+  AlphaController controller(const AlphaControllerConfig& config, double initial_alpha,
+                             std::uint64_t placement_seed) {
+    return AlphaController(*layouts_, *store_, std::vector<Bandwidth>(kServers, gbps(1.0)),
+                           tracker_, config, initial_alpha, placement_seed);
+  }
+
+  // Lay every file out on `k` servers with pattern bytes, checkpointed.
   void populate(std::size_t k) {
-    SpClient writer(cluster_, master_, pool_);
     Rng place(42);
     sizes_.assign(kFiles, kFileSize);
     for (FileId f = 0; f < kFiles; ++f) {
       const auto sampled = place.sample_without_replacement(kServers, k);
       std::vector<std::uint32_t> servers(sampled.begin(), sampled.end());
-      writer.write(f, pattern_bytes(kFileSize, f), servers);
+      client().write(f, pattern_bytes(kFileSize, f), servers);
+      stable().checkpoint(f, pattern_bytes(kFileSize, f));
     }
+  }
+
+  void expect_all_bit_exact() {
+    for (FileId f = 0; f < kFiles; ++f) {
+      EXPECT_EQ(client().read(f).bytes, pattern_bytes(kFileSize, f)) << "file " << f;
+    }
+  }
+
+  // A hard burst on `viral`, after a background trickle on every file
+  // when `trickle` is set.
+  Seconds burst(FileId viral, bool trickle) {
+    Seconds now = 0.0;
+    if (trickle) {
+      for (FileId f = 0; f < kFiles; ++f) tracker_.record(f, now);
+    }
+    Rng rng(9);
+    while (now < 10.0) {
+      now += rng.exponential(1.0 / 50.0);
+      tracker_.record(viral, now);
+    }
+    return now;
   }
 
   Cluster cluster_;
   Master master_;
+  StableStore stable_;
   ThreadPool pool_;
   PopularityTracker tracker_;
+  rpc::Bus bus_;
+  std::unique_ptr<rpc::MasterService> master_service_;
+  std::vector<std::unique_ptr<rpc::CacheWorkerService>> workers_;
+  std::vector<rpc::NodeId> worker_nodes_;
+  std::unique_ptr<rpc::RpcNode> node_;
+  std::unique_ptr<PieceStore> store_;
+  std::unique_ptr<LayoutService> layouts_;
+  std::unique_ptr<SpClient> client_;
+  std::unique_ptr<rpc::RpcSpClient> rpc_client_;
   std::vector<Bytes> sizes_;
 };
 
-TEST_F(AlphaControllerTest, MandatoryAlphaAtPlanEntry) {
+TEST_P(AlphaControllerTest, MandatoryAlphaAtPlanEntry) {
   populate(2);
   Catalog catalog = make_uniform_catalog(kFiles, kFileSize, 1.05, 10.0);
-  OnlineAdjustConfig config;  // alpha left at the 0.0 default
-  EXPECT_THROW(plan_online_adjust(catalog, master_, kServers, config), std::invalid_argument);
-  config.alpha = -1.0;
-  EXPECT_THROW(plan_online_adjust(catalog, master_, kServers, config), std::invalid_argument);
-  config.alpha = 0.5;
-  EXPECT_NO_THROW(plan_online_adjust(catalog, master_, kServers, config));
+  const OnlineAdjustConfig config;
+  EXPECT_THROW(plan_online_adjust(catalog, *layouts_, kServers, 0.0, config),
+               std::invalid_argument);
+  EXPECT_THROW(plan_online_adjust(catalog, *layouts_, kServers, -1.0, config),
+               std::invalid_argument);
+  EXPECT_NO_THROW(plan_online_adjust(catalog, *layouts_, kServers, 0.5, config));
 }
 
-TEST_F(AlphaControllerTest, RejectsNonPositiveInitialAlpha) {
+TEST_P(AlphaControllerTest, RejectsNonPositiveInitialAlpha) {
   AlphaControllerConfig config;
-  EXPECT_THROW(AlphaController(cluster_, master_, tracker_, config, 0.0, 1), std::invalid_argument);
+  EXPECT_THROW(controller(config, 0.0, 1), std::invalid_argument);
 }
 
 // Hysteresis: oscillating traffic that keeps the windowed eta above the
 // trigger cannot adapt faster than the cooldown allows, and a re-run whose
 // elbow did not move keeps alpha bit-identical (deadband).
-TEST_F(AlphaControllerTest, HysteresisPreventsThrash) {
+TEST_P(AlphaControllerTest, HysteresisPreventsThrash) {
   populate(2);
   AlphaControllerConfig config;
   config.eta_trigger = 0.5;
@@ -121,8 +195,8 @@ TEST_F(AlphaControllerTest, HysteresisPreventsThrash) {
   config.alpha_deadband = 0.2;
 
   obs::MetricsRegistry registry;
-  AlphaController controller(cluster_, master_, tracker_, config, /*initial_alpha=*/0.8, 7);
-  controller.attach_observability(&registry, nullptr);
+  AlphaController loop = controller(config, /*initial_alpha=*/0.8, 7);
+  loop.attach_observability(&registry, nullptr);
 
   // Oscillating rates: the hot file alternates between 0 and 1 every
   // observation, keeping the tracker busy and the elbow roughly fixed.
@@ -137,7 +211,7 @@ TEST_F(AlphaControllerTest, HysteresisPreventsThrash) {
     // Synthetic imbalanced window: one server takes nearly all the bytes.
     cumulative[step % 2] += 1000.0;
     for (std::size_t s = 2; s < kServers; ++s) cumulative[s] += 10.0;
-    const auto outcome = controller.observe(cumulative, sizes_, now);
+    const auto outcome = loop.observe(cumulative, sizes_, now);
     triggers += outcome.triggered ? 1 : 0;
     adaptations += outcome.adapted ? 1 : 0;
     if (adaptations == 1 && alpha_after_first == 0.0) alpha_after_first = outcome.alpha_after;
@@ -152,17 +226,18 @@ TEST_F(AlphaControllerTest, HysteresisPreventsThrash) {
   const auto snap = registry.snapshot();
   EXPECT_EQ(snap.counter_value(obs::names::kControllerAdaptations), adaptations);
   EXPECT_GT(snap.counter_value(obs::names::kControllerSkippedCooldown), 0u);
+  expect_all_bit_exact();
 }
 
 // Deadband: two back-to-back forced adaptations on identical rates — the
 // second re-run's elbow matches the first, so alpha must not move.
-TEST_F(AlphaControllerTest, DeadbandKeepsAlphaStableOnUnchangedRates) {
+TEST_P(AlphaControllerTest, DeadbandKeepsAlphaStableOnUnchangedRates) {
   populate(2);
   AlphaControllerConfig config;
   config.cooldown = 0.0;
   obs::MetricsRegistry registry;
-  AlphaController controller(cluster_, master_, tracker_, config, /*initial_alpha=*/0.9, 11);
-  controller.attach_observability(&registry, nullptr);
+  AlphaController loop = controller(config, /*initial_alpha=*/0.9, 11);
+  loop.attach_observability(&registry, nullptr);
 
   Seconds now = 0.0;
   Rng traffic(5);
@@ -171,44 +246,38 @@ TEST_F(AlphaControllerTest, DeadbandKeepsAlphaStableOnUnchangedRates) {
     now += traffic.exponential(1.0 / shape.total_rate());
     tracker_.record(shape.sample_file(traffic), now);
   }
-  const auto first = controller.adapt_now(sizes_, now);
+  const auto first = loop.adapt_now(sizes_, now);
   ASSERT_TRUE(first.adapted);
-  const auto second = controller.adapt_now(sizes_, now + 0.1);
+  const auto second = loop.adapt_now(sizes_, now + 0.1);
   EXPECT_EQ(second.alpha_after, first.alpha_after);
   const auto snap = registry.snapshot();
   EXPECT_GE(snap.counter_value(obs::names::kControllerSkippedDeadband), 1u);
+  expect_all_bit_exact();
 }
 
 // End to end: a burst on a cold file raises its tracked rate; the next
-// adaptation must split it (Eq. 1 target above its current partitions).
-TEST_F(AlphaControllerTest, BurstOnColdFileGetsSplit) {
+// adaptation must split it (Eq. 1 target above its current partitions),
+// and every file still reads back bit-exact.
+TEST_P(AlphaControllerTest, BurstOnColdFileGetsSplit) {
   populate(1);  // every file starts unsplit
   AlphaControllerConfig config;
   config.cooldown = 0.0;
-  config.max_ops_per_file = 8;
+  config.adjust.max_ops_per_file = 8;
   obs::TraceRecorder trace;
-  AlphaController controller(cluster_, master_, tracker_, config, /*initial_alpha=*/0.5, 3);
-  controller.attach_observability(nullptr, &trace);
+  AlphaController loop = controller(config, /*initial_alpha=*/0.5, 3);
+  loop.attach_observability(nullptr, &trace);
 
   constexpr FileId kViral = 13;
-  Seconds now = 0.0;
-  // Background trickle on everything, then a hard burst on the cold file.
-  for (FileId f = 0; f < kFiles; ++f) tracker_.record(f, now);
-  Rng burst(9);
-  while (now < 10.0) {
-    now += burst.exponential(1.0 / 50.0);
-    tracker_.record(kViral, now);
-  }
-  const std::size_t before = master_.peek(kViral)->partitions();
-  const auto outcome = controller.adapt_now(sizes_, now);
+  const Seconds now = burst(kViral, /*trickle=*/true);
+  const std::size_t before = master().peek(kViral)->partitions();
+  const auto outcome = loop.adapt_now(sizes_, now);
   ASSERT_TRUE(outcome.adapted);
   EXPECT_GT(outcome.splits, 0u);
-  const std::size_t after = master_.peek(kViral)->partitions();
+  const std::size_t after = master().peek(kViral)->partitions();
   EXPECT_GT(after, before);
-
-  // The viral file still reads back bit-exact through the split layout.
-  SpClient reader(cluster_, master_, pool_);
-  EXPECT_EQ(reader.read(kViral).bytes, pattern_bytes(kFileSize, kViral));
+  // One move per file: no byte crosses the network twice.
+  EXPECT_LE(outcome.bytes_moved, kFiles * kFileSize);
+  expect_all_bit_exact();
 
   // The adaptation left its trace event.
   bool saw_adapted = false;
@@ -217,6 +286,51 @@ TEST_F(AlphaControllerTest, BurstOnColdFileGetsSplit) {
   }
   EXPECT_TRUE(saw_adapted);
 }
+
+// A move that touches a dead server fails to stage and keeps the file's
+// layout: the burst file is not split while its holder is down, nothing
+// is counted for it, and the first adaptation after the holder is back
+// (and repair has restored its piece) splits it. No other file has
+// traffic, so the burst file is the only one with a target.
+TEST_P(AlphaControllerTest, DeadHolderDefersTheSplitUntilRevived) {
+  populate(1);
+  AlphaControllerConfig config;
+  config.cooldown = 0.0;
+  AlphaController loop = controller(config, /*initial_alpha=*/0.5, 3);
+
+  constexpr FileId kViral = 13;
+  const Seconds now = burst(kViral, /*trickle=*/false);
+  const auto before = master().peek(kViral);
+  ASSERT_EQ(before->partitions(), 1u);
+  const std::uint32_t holder = before->servers[0];
+  server(holder).kill();
+
+  const auto blocked = loop.adapt_now(sizes_, now);
+  ASSERT_TRUE(blocked.adapted);
+  const auto kept = master().peek(kViral);
+  EXPECT_EQ(kept->servers, before->servers);
+  EXPECT_EQ(kept->piece_sizes, before->piece_sizes);
+  EXPECT_EQ(kept->epoch, before->epoch);
+  EXPECT_EQ(blocked.splits, 0u);
+  EXPECT_EQ(blocked.bytes_moved, 0u);
+  for (std::uint32_t s = 0; s < kServers; ++s) EXPECT_EQ(server(s).staged_count(), 0u);
+
+  server(holder).revive();
+  RecoveryManager recovery(*store_, master(), stable(), kServers,
+                           [this](std::uint32_t s) { return server(s).alive(); });
+  for (FileId f = 0; f < kFiles; ++f) recovery.repair_file(f);
+
+  const auto after = loop.adapt_now(sizes_, now + 0.1);
+  EXPECT_GT(after.splits, 0u);
+  EXPECT_GT(master().peek(kViral)->partitions(), 1u);
+  expect_all_bit_exact();
+}
+
+INSTANTIATE_TEST_SUITE_P(Deployments, AlphaControllerTest,
+                         ::testing::Values(Deployment::kInproc, Deployment::kRpc),
+                         [](const ::testing::TestParamInfo<Deployment>& info) {
+                           return info.param == Deployment::kInproc ? "Inproc" : "Rpc";
+                         });
 
 }  // namespace
 }  // namespace spcache

@@ -10,12 +10,14 @@
 //     conflict, which real clients retry), but never yields torn data;
 //   * exact access-count totals: the relaxed atomic counters lose no
 //     bumps under contention;
-//   * per-file linearizability: repartition and split/merge RMWs on the
-//     same file serialize via Master::lock_file, so the layout and the
-//     stored pieces never diverge.
+//   * per-file linearizability: repartition RMWs and split/merge delta
+//     cutovers on the same file serialize via Master::lock_file (a delta
+//     move whose file changed underneath fails its epoch check), so the
+//     layout and the stored pieces never diverge.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <thread>
@@ -24,7 +26,6 @@
 #include "cluster/cache_server.h"
 #include "cluster/client.h"
 #include "cluster/master.h"
-#include "cluster/online_adjust.h"
 #include "cluster/repartition_exec.h"
 #include "cluster/stable_store.h"
 #include "common/rng.h"
@@ -181,14 +182,16 @@ TEST(ClusterConcurrency, RepartitionerAndAdjusterVsReadersIntegrity) {
     client.write(id, golden[id], distinct_servers(setup_rng, kServers, 3));
   }
 
+  constexpr std::size_t kReaders = 3;
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> torn_reads{0};
   std::atomic<std::size_t> ok_reads{0};
+  std::atomic<std::size_t> readers_started{0};  // readers past their first read
   std::vector<std::thread> readers;
-  for (std::size_t r = 0; r < 3; ++r) {
+  for (std::size_t r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
       Rng rng(300 + r);
-      while (!stop.load()) {
+      for (bool first = true; !stop.load(); first = false) {
         const FileId id = static_cast<FileId>(rng.uniform_index(kFiles));
         try {
           const auto result = client.read(id);
@@ -200,13 +203,22 @@ TEST(ClusterConcurrency, RepartitionerAndAdjusterVsReadersIntegrity) {
         } catch (const std::runtime_error&) {
           // read raced a layout change; a real client retries
         }
+        if (first) readers_started.fetch_add(1);
       }
     });
   }
+  // The layout writers below start once every reader has finished one
+  // read (bounded wait), so they always race live readers.
+  const auto await_readers = [&] {
+    for (int i = 0; i < 5000 && readers_started.load() < kReaders; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  };
 
   // Repartitioner: flips every file between k=3 and k=4 layouts through
   // Algorithm 2's executor path (guarded per-file RMW).
   std::thread repartitioner([&] {
+    await_readers();
     Rng rng(500);
     for (std::size_t round = 0; round < kRounds; ++round) {
       const std::size_t new_k = 3 + (round % 2);
@@ -221,21 +233,30 @@ TEST(ClusterConcurrency, RepartitionerAndAdjusterVsReadersIntegrity) {
     }
   });
 
-  // Online adjuster: split piece 0, then merge it back, racing the
-  // repartitioner on the same files. The per-file guard serializes each
-  // RMW; range/state conflicts surface as exceptions, never corruption.
+  // Online adjuster: split piece 0 onto a random server, then merge it
+  // back, each as one delta move racing the repartitioner on the same
+  // files. A move whose file changed underneath fails to stage or loses
+  // its epoch-checked cutover and is dropped, never corrupting the file.
   std::thread adjuster([&] {
+    await_readers();
     Rng rng(700);
+    const auto store = make_inproc_piece_store(cluster, nullptr);
+    const auto layouts = make_inproc_layout_service(master, nullptr);
     for (std::size_t round = 0; round < kRounds * 4; ++round) {
       const FileId id = static_cast<FileId>(rng.uniform_index(kFiles));
-      try {
-        execute_split(cluster, master,
-                      SplitOp{id, 0, static_cast<std::uint32_t>(rng.uniform_index(kServers))});
-        execute_merge(cluster, master, MergeOp{id, 0});
-      } catch (const std::runtime_error&) {
-        // piece vanished / index out of range after a concurrent
-        // repartition won the guard first: acceptable, the op is dropped
+      auto meta = *master.peek(id);
+      const Bytes half = meta.piece_sizes[0] / 2;
+      meta.piece_sizes.insert(meta.piece_sizes.begin() + 1, meta.piece_sizes[0] - half);
+      meta.piece_sizes[0] = half;
+      meta.servers.insert(meta.servers.begin() + 1,
+                          static_cast<std::uint32_t>(rng.uniform_index(kServers)));
+      if (!delta_repartition_file(*store, *layouts, id, meta.piece_sizes, meta.servers)) {
+        continue;
       }
+      meta.piece_sizes[0] += meta.piece_sizes[1];
+      meta.piece_sizes.erase(meta.piece_sizes.begin() + 1);
+      meta.servers.erase(meta.servers.begin() + 1);
+      delta_repartition_file(*store, *layouts, id, meta.piece_sizes, meta.servers);
     }
   });
 
@@ -291,15 +312,17 @@ TEST(ClusterConcurrency, ReadersNeverFailDuringDeltaRepartition) {
     client.write(id, golden[id], distinct_servers(setup_rng, kServers, 3));
   }
 
+  constexpr std::size_t kReaders = 3;
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> failed_reads{0};
   std::atomic<std::size_t> wrong_reads{0};
   std::atomic<std::size_t> ok_reads{0};
+  std::atomic<std::size_t> readers_started{0};  // readers past their first read
   std::vector<std::thread> readers;
-  for (std::size_t r = 0; r < 3; ++r) {
+  for (std::size_t r = 0; r < kReaders; ++r) {
     readers.emplace_back([&, r] {
       Rng rng(900 + r);
-      while (!stop.load()) {
+      for (bool first = true; !stop.load(); first = false) {
         const FileId id = static_cast<FileId>(rng.uniform_index(kFiles));
         try {
           const auto result = client.read(id);
@@ -307,13 +330,20 @@ TEST(ClusterConcurrency, ReadersNeverFailDuringDeltaRepartition) {
         } catch (const std::runtime_error&) {
           failed_reads.fetch_add(1);
         }
+        if (first) readers_started.fetch_add(1);
       }
     });
   }
 
   // Delta repartitioner: flips every file between k=3 and k=4 while the
   // readers run. Each round stages under epoch+1, publishes, lazily GCs.
+  // It starts once every reader has finished one read (bounded wait), so
+  // the rounds always race live readers and ok_reads > 0 checks that reads
+  // succeed, not that a reader got scheduled before the rounds ended.
   std::thread repartitioner([&] {
+    for (int i = 0; i < 5000 && readers_started.load() < kReaders; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     Rng rng(1100);
     for (std::size_t round = 0; round < kRounds; ++round) {
       const std::size_t new_k = 3 + (round % 2);

@@ -1,9 +1,14 @@
 // Property tests for the delta repartition plan algebra (randomized):
 //   * the range transfer plan covers every byte of the file exactly once,
-//     in order, with piece sizes matching split_plain's rule;
+//     in order, with piece sizes matching the target (split_plain's rule
+//     for a re-split, any size vector for an online split/merge);
 //   * a range is local iff source server == destination server — the plan
 //     never emits a same-server network transfer;
-//   * bytes_moved + bytes_saved == file_size;
+//   * bytes_moved + bytes_saved == file_size, and bytes_moved is exactly
+//     the bytes whose final server differs from their first;
+//   * for split_plain targets the plan matches the original split_plain-only
+//     planner field for field; one split moves half a piece, one merge one
+//     piece;
 //   * executing a randomized plan against a live cluster reassembles every
 //     file bit-exactly and leaves no staged residue.
 #include "core/repartition.h"
@@ -50,6 +55,61 @@ std::vector<Bytes> random_composition(Rng& rng, Bytes size, std::size_t k) {
   return sizes;
 }
 
+// A random composition of `size` into `k` positive parts (size >= k).
+std::vector<Bytes> positive_composition(Rng& rng, Bytes size, std::size_t k) {
+  auto sizes = random_composition(rng, size - k, k);
+  for (auto& s : sizes) ++s;
+  return sizes;
+}
+
+// The planner as it was when it only knew split_plain targets: new piece
+// boundaries from plain_piece_offset, one source range per crossing of an
+// old boundary. Kept as the reference the generalised planner must match.
+RangeTransferPlan reference_plain_plan(Bytes size, const std::vector<Bytes>& old_sizes,
+                                       const std::vector<std::uint32_t>& old_servers,
+                                       const std::vector<std::uint32_t>& new_servers) {
+  RangeTransferPlan plan;
+  plan.file_size = size;
+  const std::size_t k_new = new_servers.size();
+  std::size_t old_piece = 0;
+  Bytes old_start = 0;
+  for (std::size_t j = 0; j < k_new; ++j) {
+    PieceAssembly assembly;
+    assembly.new_piece = static_cast<std::uint32_t>(j);
+    assembly.dst_server = new_servers[j];
+    const Bytes lo = plain_piece_offset(size, k_new, j);
+    const Bytes hi = plain_piece_offset(size, k_new, j + 1);
+    assembly.piece_size = hi - lo;
+    for (Bytes pos = lo; pos < hi;) {
+      while (old_start + old_sizes[old_piece] <= pos) old_start += old_sizes[old_piece++];
+      RangeSource range;
+      range.old_piece = static_cast<std::uint32_t>(old_piece);
+      range.src_server = old_servers[old_piece];
+      range.offset_in_piece = pos - old_start;
+      range.offset_in_file = pos;
+      range.length = std::min(hi, old_start + old_sizes[old_piece]) - pos;
+      range.local = range.src_server == assembly.dst_server;
+      (range.local ? plan.bytes_saved : plan.bytes_moved) += range.length;
+      pos += range.length;
+      assembly.sources.push_back(range);
+    }
+    plan.pieces.push_back(std::move(assembly));
+  }
+  return plan;
+}
+
+// Server holding byte `pos` of a layout (zero-size pieces hold none).
+std::uint32_t holder_of(Bytes pos, const std::vector<Bytes>& sizes,
+                        const std::vector<std::uint32_t>& servers) {
+  Bytes end = 0;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    end += sizes[i];
+    if (pos < end) return servers[i];
+  }
+  ADD_FAILURE() << "byte " << pos << " beyond the layout";
+  return 0;
+}
+
 TEST(RepartitionProperties, PlainOffsetsMatchSplitPlain) {
   Rng rng(401);
   for (int trial = 0; trial < 200; ++trial) {
@@ -81,7 +141,8 @@ TEST(RepartitionProperties, PlanCoversEveryByteExactlyOnce) {
     const auto old_servers = distinct_servers(rng, kServers, k_old);
     const auto new_servers = distinct_servers(rng, kServers, k_new);
 
-    const auto plan = plan_range_transfer(size, old_sizes, old_servers, new_servers);
+    const auto plan = plan_range_transfer(size, old_sizes, old_servers,
+                                          plain_piece_sizes(size, k_new), new_servers);
     ASSERT_EQ(plan.pieces.size(), k_new);
     EXPECT_EQ(plan.file_size, size);
     EXPECT_EQ(plan.bytes_moved + plan.bytes_saved, size);
@@ -134,9 +195,131 @@ TEST(RepartitionProperties, UnchangedPlacementIsAllLocal) {
     for (std::size_t i = 0; i < k; ++i) {
       old_sizes.push_back(plain_piece_offset(size, k, i + 1) - plain_piece_offset(size, k, i));
     }
-    const auto plan = plan_range_transfer(size, old_sizes, servers, servers);
+    const auto plan = plan_range_transfer(size, old_sizes, servers, old_sizes, servers);
     EXPECT_EQ(plan.bytes_moved, 0u);
     EXPECT_EQ(plan.bytes_saved, size);
+  }
+}
+
+// Any target size vector, zero-size pieces included: every byte lands in
+// its target piece exactly once and in order, and a byte is moved iff its
+// server changes.
+TEST(RepartitionProperties, ArbitraryTargetSizesCoverEveryByteOnce) {
+  Rng rng(405);
+  constexpr std::size_t kServers = 20;
+  for (int trial = 0; trial < 300; ++trial) {
+    const Bytes size = 1 + rng.uniform_index(8 * 1024);
+    const std::size_t k_old = 1 + rng.uniform_index(16);
+    const std::size_t k_new = 1 + rng.uniform_index(16);
+    const auto old_sizes = random_composition(rng, size, k_old);
+    const auto new_sizes = random_composition(rng, size, k_new);
+    const auto old_servers = distinct_servers(rng, kServers, k_old);
+    const auto new_servers = distinct_servers(rng, kServers, k_new);
+
+    const auto plan = plan_range_transfer(size, old_sizes, old_servers, new_sizes, new_servers);
+    ASSERT_EQ(plan.pieces.size(), k_new);
+    EXPECT_EQ(plan.bytes_moved + plan.bytes_saved, size);
+
+    Bytes pos = 0;
+    for (std::size_t p = 0; p < k_new; ++p) {
+      const auto& piece = plan.pieces[p];
+      EXPECT_EQ(piece.dst_server, new_servers[p]);
+      EXPECT_EQ(piece.piece_size, new_sizes[p]);
+      Bytes filled = 0;
+      for (const auto& r : piece.sources) {
+        EXPECT_GT(r.length, 0u);
+        EXPECT_EQ(r.offset_in_file, pos);
+        EXPECT_LE(r.offset_in_piece + r.length, old_sizes[r.old_piece]);
+        EXPECT_EQ(r.local, r.src_server == piece.dst_server);
+        pos += r.length;
+        filled += r.length;
+      }
+      EXPECT_EQ(filled, piece.piece_size);
+    }
+    EXPECT_EQ(pos, size);
+
+    Bytes changed = 0;
+    for (Bytes b = 0; b < size; ++b) {
+      changed += holder_of(b, old_sizes, old_servers) != holder_of(b, new_sizes, new_servers);
+    }
+    EXPECT_EQ(plan.bytes_moved, changed) << "trial " << trial;
+  }
+}
+
+// Split_plain targets, the benchmark's re-balance path: the generalised
+// planner emits exactly what the split_plain-only planner did.
+TEST(RepartitionProperties, PlainTargetsMatchThePlainPlanner) {
+  Rng rng(406);
+  constexpr std::size_t kServers = 20;
+  for (int trial = 0; trial < 300; ++trial) {
+    const Bytes size = 1 + rng.uniform_index(200 * 1024);
+    const std::size_t k_old = 1 + rng.uniform_index(16);
+    const std::size_t k_new = 1 + rng.uniform_index(16);
+    const auto old_sizes = random_composition(rng, size, k_old);
+    const auto old_servers = distinct_servers(rng, kServers, k_old);
+    const auto new_servers = distinct_servers(rng, kServers, k_new);
+
+    const auto plan = plan_range_transfer(size, old_sizes, old_servers,
+                                          plain_piece_sizes(size, k_new), new_servers);
+    const auto ref = reference_plain_plan(size, old_sizes, old_servers, new_servers);
+    EXPECT_EQ(plan.file_size, ref.file_size);
+    EXPECT_EQ(plan.bytes_moved, ref.bytes_moved);
+    EXPECT_EQ(plan.bytes_saved, ref.bytes_saved);
+    ASSERT_EQ(plan.pieces.size(), ref.pieces.size());
+    for (std::size_t p = 0; p < k_new; ++p) {
+      const auto& a = plan.pieces[p];
+      const auto& b = ref.pieces[p];
+      EXPECT_EQ(a.new_piece, b.new_piece);
+      EXPECT_EQ(a.dst_server, b.dst_server);
+      EXPECT_EQ(a.piece_size, b.piece_size);
+      ASSERT_EQ(a.sources.size(), b.sources.size()) << "trial " << trial << " piece " << p;
+      for (std::size_t r = 0; r < a.sources.size(); ++r) {
+        EXPECT_EQ(a.sources[r].old_piece, b.sources[r].old_piece);
+        EXPECT_EQ(a.sources[r].src_server, b.sources[r].src_server);
+        EXPECT_EQ(a.sources[r].offset_in_piece, b.sources[r].offset_in_piece);
+        EXPECT_EQ(a.sources[r].offset_in_file, b.sources[r].offset_in_file);
+        EXPECT_EQ(a.sources[r].length, b.sources[r].length);
+        EXPECT_EQ(a.sources[r].local, b.sources[r].local);
+      }
+    }
+  }
+}
+
+// Online adjust's two steps as targets: halving piece i onto a fresh
+// server ships exactly the second half; folding piece i+1 into piece i
+// ships exactly piece i+1. Every other byte stays where it is.
+TEST(RepartitionProperties, OneSplitMovesHalfAPieceOneMergeOnePiece) {
+  Rng rng(407);
+  constexpr std::size_t kServers = 20;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t k = 2 + rng.uniform_index(10);
+    const Bytes size = k + rng.uniform_index(64 * 1024);
+    const auto layout = positive_composition(rng, size, k);
+    auto servers = distinct_servers(rng, kServers, k + 1);
+    const std::uint32_t fresh = servers.back();  // holds no piece yet
+    servers.pop_back();
+    const std::size_t i = rng.uniform_index(k);
+
+    auto split_sizes = layout;
+    auto split_servers = servers;
+    const Bytes half = layout[i] / 2;
+    split_sizes[i] = half;
+    split_sizes.insert(split_sizes.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                       layout[i] - half);
+    split_servers.insert(split_servers.begin() + static_cast<std::ptrdiff_t>(i) + 1, fresh);
+    const auto split = plan_range_transfer(size, layout, servers, split_sizes, split_servers);
+    EXPECT_EQ(split.bytes_moved, layout[i] - half);
+
+    if (i + 1 < k) {
+      auto merged_sizes = layout;
+      auto merged_servers = servers;
+      merged_sizes[i] += merged_sizes[i + 1];
+      merged_sizes.erase(merged_sizes.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+      merged_servers.erase(merged_servers.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+      const auto merge =
+          plan_range_transfer(size, layout, servers, merged_sizes, merged_servers);
+      EXPECT_EQ(merge.bytes_moved, layout[i + 1]);
+    }
   }
 }
 
@@ -180,6 +363,45 @@ TEST(RepartitionProperties, RandomizedDeltaRepartitionIsBitExact) {
     ASSERT_TRUE(meta.has_value());
     EXPECT_EQ(meta->servers, plan.new_servers[f]);
     EXPECT_GT(meta->epoch, epoch_before[f]);
+  }
+  for (std::size_t s = 0; s < cluster.size(); ++s) {
+    EXPECT_EQ(cluster.server(s).staged_count(), 0u) << "server " << s;
+  }
+}
+
+// The one mover with arbitrary targets: random files moved to random
+// piece-size vectors on random servers read back bit-exact, and a move
+// counts exactly its plan's remote bytes.
+TEST(RepartitionProperties, RandomizedTargetMovesAreBitExact) {
+  Cluster cluster(12, gbps(1.0));
+  Master master;
+  ThreadPool pool(4);
+  Rng rng(408);
+  SpClient client(cluster, master, pool);
+  const auto store = make_inproc_piece_store(cluster, nullptr);
+  const auto layouts = make_inproc_layout_service(master, nullptr);
+
+  for (FileId f = 0; f < 20; ++f) {
+    const std::size_t k_old = 1 + rng.uniform_index(6);
+    const std::size_t k_new = 1 + rng.uniform_index(6);
+    const Bytes size = 6 + rng.uniform_index(96 * 1024);
+    const auto original = random_bytes(size, rng);
+    client.write_sized(f, original, distinct_servers(rng, cluster.size(), k_old),
+                       positive_composition(rng, size, k_old));
+    const auto before = master.peek(f);
+    const auto sizes = positive_composition(rng, size, k_new);
+    const auto servers = distinct_servers(rng, cluster.size(), k_new);
+
+    const auto done = delta_repartition_file(*store, *layouts, f, sizes, servers);
+    ASSERT_TRUE(done.has_value()) << "file " << f;
+    EXPECT_EQ(done->old_partitions, k_old);
+    EXPECT_EQ(done->plan.bytes_moved,
+              plan_range_transfer(size, before->piece_sizes, before->servers, sizes, servers)
+                  .bytes_moved);
+    const auto meta = master.peek(f);
+    EXPECT_EQ(meta->servers, servers);
+    EXPECT_EQ(meta->piece_sizes, sizes);
+    EXPECT_EQ(client.read(f).bytes, original) << "file " << f;
   }
   for (std::size_t s = 0; s < cluster.size(); ++s) {
     EXPECT_EQ(cluster.server(s).staged_count(), 0u) << "server " << s;

@@ -271,10 +271,12 @@ if [[ "$QUICK" -eq 0 ]]; then
   # their forged-count tests, frame and serialize parsing, the TCP
   # transport — runs under Address+UBSan on every full check, and so does
   # the RecoveryManager's Rpc arm (repair over the RPC PieceStore, the
-  # path spcache_masterd runs, including a stale stable copy).
+  # path spcache_masterd runs, including a stale stable copy), and so does
+  # the AlphaController's Rpc arm (its delta moves drive the same
+  # decoders).
   cmake --preset asan
   cmake --build --preset asan -j "$(nproc)"
-  ctest --preset asan -R 'test_rpc_|test_cluster_recovery'
+  ctest --preset asan -R 'test_rpc_|test_cluster_recovery|test_cluster_alpha_controller'
 fi
 
 echo "==> ThreadSanitizer: configure + build"
