@@ -87,24 +87,32 @@ TEST(Master, InprocCutoverRefusesAWriteLandingDuringTheSplice) {
 
   // Stale from the start: refused before the splice runs.
   bool spliced = false;
-  EXPECT_FALSE(layouts->cutover(5, before->epoch + 7, next, [&] { return spliced = true; }));
+  bool retired = false;
+  const auto retire = [&] { retired = true; };
+  EXPECT_FALSE(
+      layouts->cutover(5, before->epoch + 7, next, [&] { return spliced = true; }, retire));
   EXPECT_FALSE(spliced);
 
   // A client write takes no guard: landing during the splice, it must
   // still win over the cutover's swap.
-  EXPECT_FALSE(layouts->cutover(5, before->epoch, next, [&] {
-    m.update_file(5, make_meta(kKB, {1}));
-    return true;
-  }));
+  EXPECT_FALSE(layouts->cutover(
+      5, before->epoch, next,
+      [&] {
+        m.update_file(5, make_meta(kKB, {1}));
+        return true;
+      },
+      retire));
   EXPECT_EQ(m.peek(5)->servers, std::vector<std::uint32_t>{1});
   EXPECT_EQ(m.file_epoch(5), before->epoch + 1);
 
   // A failed splice swaps nothing either.
-  EXPECT_FALSE(layouts->cutover(5, m.file_epoch(5), next, [] { return false; }));
+  EXPECT_FALSE(layouts->cutover(5, m.file_epoch(5), next, [] { return false; }, retire));
   EXPECT_EQ(m.peek(5)->servers, std::vector<std::uint32_t>{1});
+  EXPECT_FALSE(retired);  // only a landed swap retires the old layout
 
   next.epoch = m.file_epoch(5) + 1;
-  EXPECT_TRUE(layouts->cutover(5, m.file_epoch(5), next, [] { return true; }));
+  EXPECT_TRUE(layouts->cutover(5, m.file_epoch(5), next, [] { return true; }, retire));
+  EXPECT_TRUE(retired);
   EXPECT_EQ(m.peek(5)->servers, (std::vector<std::uint32_t>{2, 3}));
   EXPECT_EQ(m.file_epoch(5), before->epoch + 2);
 }

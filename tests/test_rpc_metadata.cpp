@@ -148,16 +148,23 @@ TEST_F(RpcMetadataTest, CutoverRefusesALayoutThatMovedDuringTheSplice) {
 
   // Stale from the start: refused before the splice runs.
   bool spliced = false;
-  EXPECT_FALSE(layouts->cutover(30, before->epoch + 7, next, [&] { return spliced = true; }));
+  bool retired = false;
+  const auto retire = [&] { retired = true; };
+  EXPECT_FALSE(
+      layouts->cutover(30, before->epoch + 7, next, [&] { return spliced = true; }, retire));
   EXPECT_FALSE(spliced);
 
   // Current at the check, but another writer lands a layout during the
   // splice: the master's compare-and-swap must refuse ours.
   RpcSpClient writer(bus_, kFirstClientNode + 9, kMasterNode, worker_nodes_, hot_retries());
-  EXPECT_FALSE(layouts->cutover(30, before->epoch, next, [&] {
-    writer.write(30, data, {4, 5});
-    return true;
-  }));
+  EXPECT_FALSE(layouts->cutover(
+      30, before->epoch, next,
+      [&] {
+        writer.write(30, data, {4, 5});
+        return true;
+      },
+      retire));
+  EXPECT_FALSE(retired);  // only a landed swap retires the old layout
   const auto after = master_->master().peek(30);
   EXPECT_EQ(after->servers, (std::vector<std::uint32_t>{4, 5}));
   EXPECT_EQ(after->epoch, before->epoch + 1);
