@@ -6,9 +6,12 @@
 // `bench_micro --smoke` skips google-benchmark and runs the data-plane
 // gates instead (tools/check.sh `kernels` stage): RS(8,11) encode GB/s per
 // SIMD level with bit-identical outputs, an AVX2 absolute floor, and an
-// AVX2-over-scalar speedup floor. Exits non-zero when a gate fails.
+// AVX2-over-scalar speedup floor; then crc32_update and crc32_copy_update
+// GB/s per level, which must agree on the CRC and the copied bytes. Exits
+// non-zero when a gate fails.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -229,23 +232,62 @@ BENCHMARK(BM_LruAccess);
 
 // --- Smoke gates (tools/check.sh `kernels` stage) -----------------------
 
-double best_encode_seconds(const ReedSolomon& rs, std::span<const std::uint8_t> data,
-                           std::span<const std::span<std::uint8_t>> shards) {
+// Best-of-5 seconds for one call of `op`.
+template <typename Op>
+double best_seconds(Op&& op) {
   using clock = std::chrono::steady_clock;
   double best = 1e30;
   for (int rep = 0; rep < 5; ++rep) {
     const auto t0 = clock::now();
-    rs.encode_into(data, shards);
+    op();
     const auto t1 = clock::now();
     best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
   }
   return best;
 }
 
+// crc32_update and crc32_copy_update over `data` at every supported level,
+// each checked against the scalar tier's CRC (and the copy against `data`).
+// Prints GB/s per level; no throughput gate. Returns true when all agree.
+bool crc_levels_agree(std::span<const std::uint8_t> data) {
+  std::vector<std::uint8_t> dst(data.size());
+  const double bytes = static_cast<double>(data.size());
+  const std::uint32_t want =
+      simd::kernels_for(simd::Level::kScalar).crc32_update(0xFFFFFFFFu, data.data(),
+                                                           data.size());
+  bool identical = true;
+  std::printf("smoke: crc32_update / crc32_copy_update, %zu MiB, single core\n",
+              data.size() / (1024 * 1024));
+  for (const auto level : {simd::Level::kScalar, simd::Level::kSsse3, simd::Level::kAvx2,
+                           simd::Level::kAvx512}) {
+    if (!simd::level_supported(level)) {
+      std::printf("  %-6s: not supported on this host\n", simd::level_name(level));
+      continue;
+    }
+    const auto& k = simd::kernels_for(level);
+    std::uint32_t crc = 0, copy_crc = 0;
+    const double crc_s =
+        best_seconds([&] { crc = k.crc32_update(0xFFFFFFFFu, data.data(), data.size()); });
+    std::fill(dst.begin(), dst.end(), std::uint8_t{0});
+    const double copy_s = best_seconds([&] {
+      copy_crc = k.crc32_copy_update(0xFFFFFFFFu, dst.data(), data.data(), data.size());
+    });
+    const bool same = crc == want && copy_crc == want &&
+                      std::memcmp(dst.data(), data.data(), data.size()) == 0;
+    identical = identical && same;
+    std::printf("  %-6s: crc %6.2f GB/s, copy+crc %6.2f GB/s  (%s)\n",
+                simd::level_name(level), bytes / crc_s / 1e9, bytes / copy_s / 1e9,
+                level == simd::Level::kScalar ? "reference"
+                                              : (same ? "bit-identical" : "MISMATCH"));
+  }
+  if (!identical) std::printf("gate FAIL: levels disagree on CRC or copied bytes\n");
+  return identical;
+}
+
 // RS(8,11) encode throughput per SIMD level (scalar through avx512) on one
-// core, with outputs memcmp'd against the scalar tier. Gates (when AVX2 is
-// available): AVX2 >= 4 GB/s absolute and >= 2x the scalar tier. Returns
-// exit status.
+// core, with outputs memcmp'd against the scalar tier, then the CRC
+// identity check over the same data. Gates (when AVX2 is available): AVX2
+// >= 4 GB/s absolute and >= 2x the scalar tier. Returns exit status.
 int run_smoke() {
   constexpr std::size_t kK = 8, kN = 11;
   constexpr std::size_t kDataBytes = 32 * 1024 * 1024;
@@ -274,7 +316,7 @@ int run_smoke() {
     }
     simd::force_level(level);
     rs.encode_into(data, shards);  // warm
-    const double secs = best_encode_seconds(rs, data, shards);
+    const double secs = best_seconds([&] { rs.encode_into(data, shards); });
     gbps_by_level[static_cast<int>(level)] = static_cast<double>(kDataBytes) / secs / 1e9;
     bool same = true;
     if (level == simd::Level::kScalar) {
@@ -305,6 +347,7 @@ int run_smoke() {
   } else {
     std::printf("gates: AVX2 unavailable, identity check only\n");
   }
+  ok = crc_levels_agree(data) && ok;
   return ok ? 0 : 1;
 }
 

@@ -4,26 +4,21 @@
 // wrong polynomial for this code base — so hardware acceleration has to go
 // through carry-less multiply folding instead. This is the classic Intel
 // "Fast CRC Computation Using PCLMULQDQ" scheme as deployed in zlib: four
-// 128-bit accumulators fold 64 input bytes per iteration, then fold down
-// 4→1, 16 bytes at a time, 128→64 bits, and a Barrett reduction produces
-// the 32-bit state. Operates on the raw (pre-final-xor) state, same
-// convention as the scalar kernel, and is bit-exact with it.
+// 128-bit accumulators fold 64 input bytes per iteration, then the shared
+// fold_finish (crc32_fold.h) folds down 4→1, 16 bytes at a time, 128→64
+// bits, and a Barrett reduction produces the 32-bit state. Operates on the
+// raw (pre-final-xor) state, same convention as the scalar kernel, and is
+// bit-exact with it. The avx512 tier widens the main loop to zmm lanes in
+// crc32_vpclmul.cpp.
 #include "simd/kernels_impl.h"
 
 #if defined(SPCACHE_SIMD_X86)
 
-#include <smmintrin.h>
-#include <wmmintrin.h>
+#include "simd/crc32_fold.h"
 
 namespace spcache::simd::detail {
 
 namespace {
-
-// Folding constants for 0xEDB88320 in the bit-reflected domain.
-alignas(16) const std::uint64_t k1k2[2] = {0x0154442bd4, 0x01c6e41596};
-alignas(16) const std::uint64_t k3k4[2] = {0x01751997d0, 0x00ccaa009e};
-alignas(16) const std::uint64_t k5k0[2] = {0x0163cd6124, 0x0000000000};
-alignas(16) const std::uint64_t poly[2] = {0x01db710641, 0x01f7011641};
 
 // Folds `len` bytes (len >= 64 and a multiple of 16) into the running state.
 // When `dst` is non-null every loaded block is also stored there — the fused
@@ -77,51 +72,7 @@ std::uint32_t fold(std::uint32_t crc, std::uint8_t* dst, const std::uint8_t* buf
     len -= 64;
   }
 
-  // Fold the four accumulators into one.
-  x0 = _mm_load_si128(reinterpret_cast<const __m128i*>(k3k4));
-  x5 = _mm_clmulepi64_si128(x1, x0, 0x00);
-  x1 = _mm_clmulepi64_si128(x1, x0, 0x11);
-  x1 = _mm_xor_si128(_mm_xor_si128(x1, x2), x5);
-  x5 = _mm_clmulepi64_si128(x1, x0, 0x00);
-  x1 = _mm_clmulepi64_si128(x1, x0, 0x11);
-  x1 = _mm_xor_si128(_mm_xor_si128(x1, x3), x5);
-  x5 = _mm_clmulepi64_si128(x1, x0, 0x00);
-  x1 = _mm_clmulepi64_si128(x1, x0, 0x11);
-  x1 = _mm_xor_si128(_mm_xor_si128(x1, x4), x5);
-
-  while (len >= 16) {
-    x2 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(buf));
-    if constexpr (kCopy) {
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst), x2);
-      dst += 16;
-    }
-    x5 = _mm_clmulepi64_si128(x1, x0, 0x00);
-    x1 = _mm_clmulepi64_si128(x1, x0, 0x11);
-    x1 = _mm_xor_si128(_mm_xor_si128(x1, x2), x5);
-    buf += 16;
-    len -= 16;
-  }
-
-  // Fold 128 bits down to 64.
-  x2 = _mm_clmulepi64_si128(x1, x0, 0x10);
-  x3 = _mm_setr_epi32(~0, 0, ~0, 0);
-  x1 = _mm_srli_si128(x1, 8);
-  x1 = _mm_xor_si128(x1, x2);
-  x0 = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(k5k0));
-  x2 = _mm_srli_si128(x1, 4);
-  x1 = _mm_and_si128(x1, x3);
-  x1 = _mm_clmulepi64_si128(x1, x0, 0x00);
-  x1 = _mm_xor_si128(x1, x2);
-
-  // Barrett reduction 64 → 32 bits.
-  x0 = _mm_load_si128(reinterpret_cast<const __m128i*>(poly));
-  x2 = _mm_and_si128(x1, x3);
-  x2 = _mm_clmulepi64_si128(x2, x0, 0x10);
-  x2 = _mm_and_si128(x2, x3);
-  x2 = _mm_clmulepi64_si128(x2, x0, 0x00);
-  x1 = _mm_xor_si128(x1, x2);
-
-  return static_cast<std::uint32_t>(_mm_extract_epi32(x1, 1));
+  return fold_finish<kCopy>(x1, x2, x3, x4, dst, buf, len);
 }
 
 }  // namespace

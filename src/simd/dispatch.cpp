@@ -68,6 +68,14 @@ struct Registry {
       tables[3].gf256_mul = &detail::gf256_mul_avx512;
       tables[3].gf256_mul_add = &detail::gf256_mul_add_avx512;
       tables[3].gf256_dot = &detail::gf256_dot_avx512;
+      // 512-bit CRC folding; without VPCLMULQDQ the tier keeps the PCLMUL
+      // entries inherited from avx2. Its TU is built with -mavx512vl, so
+      // that is checked too (every VPCLMULQDQ CPU with AVX-512 has it).
+      if (has_pclmul && __builtin_cpu_supports("vpclmulqdq") &&
+          __builtin_cpu_supports("avx512vl")) {
+        tables[3].crc32_update = &detail::crc32_update_vpclmul;
+        tables[3].crc32_copy_update = &detail::crc32_copy_update_vpclmul;
+      }
       detected = Level::kAvx512;
     }
 #endif

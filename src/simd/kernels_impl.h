@@ -67,6 +67,10 @@ std::uint32_t crc32_update_pclmul(std::uint32_t state, const std::uint8_t* p,
                                   std::size_t n);
 std::uint32_t crc32_copy_update_pclmul(std::uint32_t state, std::uint8_t* dst,
                                        const std::uint8_t* src, std::size_t n);
+std::uint32_t crc32_update_vpclmul(std::uint32_t state, const std::uint8_t* p,
+                                   std::size_t n);
+std::uint32_t crc32_copy_update_vpclmul(std::uint32_t state, std::uint8_t* dst,
+                                        const std::uint8_t* src, std::size_t n);
 #endif
 
 }  // namespace spcache::simd::detail

@@ -7,15 +7,17 @@
 // AVX-512, with PCLMULQDQ-folded CRC where available) and can be clamped
 // down for testing via the SPCACHE_SIMD environment variable
 // (scalar|ssse3|avx2|avx512) or force_level(). The avx512 tier needs
-// AVX512F, AVX512BW and GFNI; its CRC entries are the PCLMUL ones and its
-// gf256_mul_add2 is the AVX2 one (the RS encoder uses gf256_dot there).
+// AVX512F, AVX512BW and GFNI. Its CRC entries fold 256 bytes per step with
+// VPCLMULQDQ on zmm lanes when the CPU also has VPCLMULQDQ and AVX512VL,
+// and are the PCLMUL ones otherwise; its gf256_mul_add2 is the AVX2 one
+// (the RS encoder uses gf256_dot there).
 //
 // All kernels are bit-exact across levels: the SSSE3/AVX2 GF kernels use
 // split-nibble PSHUFB table lookups over the same AES polynomial 0x11B as
 // the scalar code, the AVX-512 tier's VGF2P8MULB reduces by that same
-// polynomial in hardware, and the PCLMUL CRC folds the same reflected IEEE
-// polynomial 0xEDB88320 (not the SSE4.2 crc32 instruction, which computes
-// CRC-32C). The cross-ISA equivalence suite in tests/test_simd_kernels.cpp
+// polynomial in hardware, and the PCLMUL and VPCLMULQDQ CRCs fold the same
+// reflected IEEE polynomial 0xEDB88320 (not the SSE4.2 crc32 instruction,
+// which computes CRC-32C). The cross-ISA equivalence suite in tests/test_simd_kernels.cpp
 // fuzzes every kernel pair across odd lengths and unaligned offsets.
 #pragma once
 

@@ -3,18 +3,21 @@
 // Every kernel (GF(256) mul / mul-add / mul-add2 / dot, CRC-32 update, fused
 // copy+CRC) is fuzz-compared against the scalar tier — and against an
 // independent bit-by-bit reference — across odd lengths, unaligned offsets, and
-// head/tail remainders, at every level the host CPU supports. The sanitizer
-// presets force SPCACHE_SIMD=scalar through tools/check.sh, so the scalar
-// tier is additionally exercised under TSan/ASan.
+// head/tail remainders, at every level the host CPU supports. The cases
+// pick tiers through kernels_for(), not SPCACHE_SIMD, so the asan stage of
+// tools/check.sh runs every supported tier under Address+UBSan, and the
+// exactly-sized-buffer case there catches a kernel reading past its input.
 #include "simd/simd.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <vector>
 
 #include "common/crc32.h"
+#include "simd/kernels_impl.h"
 
 namespace spcache {
 namespace {
@@ -67,11 +70,18 @@ std::vector<simd::Level> supported_levels() {
 
 // Lengths chosen to hit every remainder path: empty, sub-vector, one
 // vector, vector±1, the AVX2 64-byte unroll boundary, the PCLMUL 64-byte
-// minimum, and multi-KB bodies with ragged tails.
-constexpr std::size_t kLengths[] = {0,  1,  2,   3,   15,  16,  17,   31,   32,  33,
-                                    48, 63, 64,  65,  127, 128, 129,  255,  256, 511,
-                                    1024, 4095, 4096, 4097, 65521};
+// minimum, the VPCLMULQDQ 256-byte minimum with each count of trailing
+// 64-byte blocks and 16-byte tails after it, multi-KB bodies with ragged
+// tails, and one ragged multi-MiB body.
+constexpr std::size_t kBigLen = (std::size_t{2} << 20) + 333;
+constexpr std::size_t kLengths[] = {0,    1,    2,    3,    15,   16,   17,    31,
+                                    32,   33,   48,   63,   64,   65,   127,   128,
+                                    129,  255,  256,  257,  319,  320,  383,   384,
+                                    511,  512,  513,  767,  783,  1024, 4095,  4096,
+                                    4097, 65521, kBigLen};
 constexpr std::size_t kOffsets[] = {0, 1, 3, 7};
+// Source buffers the length/offset sweeps slice from.
+constexpr std::size_t kBufLen = kBigLen + 8;
 
 TEST(SimdKernels, LevelPlumbing) {
   EXPECT_TRUE(simd::level_supported(simd::Level::kScalar));
@@ -95,11 +105,25 @@ TEST(SimdKernels, LevelPlumbing) {
   EXPECT_EQ(simd::kernels().level, simd::Level::kScalar);
   simd::force_level(detected);
   EXPECT_EQ(simd::active_level(), detected);
+
+#if defined(SPCACHE_SIMD_X86)
+  // The avx512 tier folds CRC with VPCLMULQDQ exactly when the CPU has it
+  // (and AVX512VL, which its TU is built with); otherwise it keeps the
+  // PCLMUL entries. Without this, the cross-tier CRC cases could quietly
+  // compare PCLMUL with itself.
+  const bool want_vpclmul = detected == simd::Level::kAvx512 &&
+                            __builtin_cpu_supports("vpclmulqdq") &&
+                            __builtin_cpu_supports("avx512vl");
+  const auto& top = simd::kernels_for(simd::Level::kAvx512);
+  EXPECT_EQ(top.crc32_update == &simd::detail::crc32_update_vpclmul, want_vpclmul);
+  EXPECT_EQ(top.crc32_copy_update == &simd::detail::crc32_copy_update_vpclmul,
+            want_vpclmul);
+#endif
 }
 
 TEST(SimdKernels, Gf256MulMatchesReferenceAcrossLevels) {
   const auto levels = supported_levels();
-  const auto src_all = fuzz_bytes(70000, 11);
+  const auto src_all = fuzz_bytes(kBufLen, 11);
   // Coefficients covering the special cases (0, 1) and both table paths.
   const std::uint8_t coeffs[] = {0, 1, 2, 3, 91, 142, 253, 255};
   for (const auto level : levels) {
@@ -124,8 +148,8 @@ TEST(SimdKernels, Gf256MulMatchesReferenceAcrossLevels) {
 
 TEST(SimdKernels, Gf256MulAddMatchesReferenceAcrossLevels) {
   const auto levels = supported_levels();
-  const auto src_all = fuzz_bytes(70000, 23);
-  const auto base_all = fuzz_bytes(70000, 29);
+  const auto src_all = fuzz_bytes(kBufLen, 23);
+  const auto base_all = fuzz_bytes(kBufLen, 29);
   const std::uint8_t coeffs[] = {0, 1, 2, 91, 255};
   for (const auto level : levels) {
     const auto& k = simd::kernels_for(level);
@@ -150,9 +174,9 @@ TEST(SimdKernels, Gf256MulAddMatchesReferenceAcrossLevels) {
 }
 
 TEST(SimdKernels, Gf256MulAdd2MatchesReferenceAcrossLevels) {
-  const auto src0_all = fuzz_bytes(70000, 67);
-  const auto src1_all = fuzz_bytes(70000, 71);
-  const auto base_all = fuzz_bytes(70000, 73);
+  const auto src0_all = fuzz_bytes(kBufLen, 67);
+  const auto src1_all = fuzz_bytes(kBufLen, 71);
+  const auto base_all = fuzz_bytes(kBufLen, 73);
   // Pairs hitting the degenerate coefficients on either side.
   const std::pair<std::uint8_t, std::uint8_t> coeff_pairs[] = {
       {0, 0}, {0, 91}, {91, 0}, {1, 255}, {255, 1}, {2, 3}, {91, 142}, {253, 254}};
@@ -264,7 +288,7 @@ TEST(SimdKernels, Gf256MulExactAliasingIsSupported) {
 }
 
 TEST(SimdKernels, Crc32UpdateMatchesReferenceAcrossLevels) {
-  const auto data_all = fuzz_bytes(70000, 41);
+  const auto data_all = fuzz_bytes(kBufLen, 41);
   for (const auto level : supported_levels()) {
     const auto& k = simd::kernels_for(level);
     for (const std::size_t n : kLengths) {
@@ -274,18 +298,21 @@ TEST(SimdKernels, Crc32UpdateMatchesReferenceAcrossLevels) {
         const std::uint32_t want = crc_ref_update(0xFFFFFFFFu, p, n);
         ASSERT_EQ(got, want) << simd::level_name(level) << " crc n=" << n
                              << " off=" << off;
-        // Split-state equivalence: resuming mid-buffer must match one shot.
-        const std::size_t cut = n / 3;
-        const std::uint32_t split =
-            k.crc32_update(k.crc32_update(0xFFFFFFFFu, p, cut), p + cut, n - cut);
-        ASSERT_EQ(split, want);
+        // Split-state equivalence: resuming mid-buffer must match one shot,
+        // also from a cut inside the VPCLMULQDQ 256-byte loop.
+        for (const std::size_t cut : {n / 3, std::min<std::size_t>(n, 300)}) {
+          const std::uint32_t split =
+              k.crc32_update(k.crc32_update(0xFFFFFFFFu, p, cut), p + cut, n - cut);
+          ASSERT_EQ(split, want) << simd::level_name(level) << " n=" << n
+                                 << " off=" << off << " cut=" << cut;
+        }
       }
     }
   }
 }
 
 TEST(SimdKernels, Crc32CopyUpdateCopiesAndChecksumsAcrossLevels) {
-  const auto data_all = fuzz_bytes(70000, 53);
+  const auto data_all = fuzz_bytes(kBufLen, 53);
   for (const auto level : supported_levels()) {
     const auto& k = simd::kernels_for(level);
     for (const std::size_t n : kLengths) {
@@ -298,6 +325,26 @@ TEST(SimdKernels, Crc32CopyUpdateCopiesAndChecksumsAcrossLevels) {
         ASSERT_EQ(std::memcmp(dst.data(), src, n), 0);
         ASSERT_EQ(dst[n], 0xEE) << "copy overran the destination";
       }
+    }
+  }
+}
+
+TEST(SimdKernels, Crc32KernelsStayInsideExactlySizedBuffers) {
+  // Each source and destination is its own heap allocation of exactly n
+  // bytes, so a load or store past the end (a whole-vector tail) lands in
+  // the allocator's redzone under the asan preset; the sweeps above slice
+  // one larger buffer, where an overread goes unnoticed.
+  for (const std::size_t n : kLengths) {
+    const auto src = fuzz_bytes(n, 107 + n);
+    const std::uint32_t want = crc_ref_update(0xFFFFFFFFu, src.data(), n);
+    for (const auto level : supported_levels()) {
+      const auto& k = simd::kernels_for(level);
+      ASSERT_EQ(k.crc32_update(0xFFFFFFFFu, src.data(), n), want)
+          << simd::level_name(level) << " n=" << n;
+      std::vector<std::uint8_t> dst(n);
+      ASSERT_EQ(k.crc32_copy_update(0xFFFFFFFFu, dst.data(), src.data(), n), want)
+          << simd::level_name(level) << " n=" << n;
+      ASSERT_EQ(dst, src) << simd::level_name(level) << " n=" << n;
     }
   }
 }

@@ -47,9 +47,10 @@ if [[ "$QUICK" -eq 0 ]]; then
     SPCACHE_SIMD="$level" ctest --preset default -L kernels
   done
 
-  echo "==> kernels: bench_micro smoke gates (RS encode throughput, bit-identity across tiers)"
+  echo "==> kernels: bench_micro smoke gates (RS encode throughput, RS and CRC bit-identity across tiers)"
   # Exits non-zero unless every supported tier produces bit-identical RS
-  # output and (when AVX2 is present) single-core RS(8,11) encode clears
+  # output and CRCs (crc32_update and crc32_copy_update, copied bytes
+  # included) and (when AVX2 is present) single-core RS(8,11) encode clears
   # 4 GB/s at >=2x the scalar tier; timing is best-of-5 to shed scheduler
   # noise on shared hosts.
   (cd build/bench && ./bench_micro --smoke)
@@ -266,17 +267,19 @@ if [[ "$QUICK" -eq 0 ]]; then
   grep -q 'result=PASS' "$TCP_SCALE_LOG"
   rm -f "$TCP_SCALE_LOG"
 
-  echo "==> asan: Address+UBSan over the RPC suite (decoders, framing, serialize)"
+  echo "==> asan: Address+UBSan over the RPC suite (decoders, framing, serialize) and the simd kernels"
   # Every decoder that touches wire bytes — the cache/master handlers with
   # their forged-count tests, frame and serialize parsing, the TCP
   # transport — runs under Address+UBSan on every full check, and so does
   # the RecoveryManager's Rpc arm (repair over the RPC PieceStore, the
   # path spcache_masterd runs, including a stale stable copy), and so does
   # the AlphaController's Rpc arm (its delta moves drive the same
-  # decoders).
+  # decoders), and so does the simd kernel suite: it picks every supported
+  # tier through kernels_for(), and its exactly-sized buffers catch a
+  # vector kernel reading or writing past its input.
   cmake --preset asan
   cmake --build --preset asan -j "$(nproc)"
-  ctest --preset asan -R 'test_rpc_|test_cluster_recovery|test_cluster_alpha_controller'
+  ctest --preset asan -R 'test_rpc_|test_cluster_recovery|test_cluster_alpha_controller|test_simd_kernels'
 fi
 
 echo "==> ThreadSanitizer: configure + build"
